@@ -136,6 +136,22 @@ func RunScriptTraced(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptP
 
 // RunScriptOpts is the fully parameterized Algorithm 3 entry point.
 func RunScriptOpts(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptParams, seed int64, so ScriptOptions) (*ScriptResult, error) {
+	run, err := runScript(fs, clusterCfg, p, seed, so)
+	if err != nil {
+		return nil, err
+	}
+	return &ScriptResult{
+		Hierarchical: labelMap(run.Aliases["K"]),
+		Greedy:       labelMap(run.Aliases["L"]),
+		Virtual:      run.Virtual,
+		Jobs:         run.Jobs,
+		Restored:     run.Restored,
+	}, nil
+}
+
+// runScript binds the parameters and runs the selected Algorithm 3
+// variant, returning every relation it materialized.
+func runScript(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptParams, seed int64, so ScriptOptions) (*pig.RunResult, error) {
 	rec := so.Trace
 	if p.K < 1 {
 		return nil, fmt.Errorf("core: script needs KMER >= 1")
@@ -195,18 +211,7 @@ func RunScriptOpts(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptPar
 	if err != nil {
 		return nil, err
 	}
-	run, err := script.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res := &ScriptResult{
-		Hierarchical: labelMap(run.Aliases["K"]),
-		Greedy:       labelMap(run.Aliases["L"]),
-		Virtual:      run.Virtual,
-		Jobs:         run.Jobs,
-		Restored:     run.Restored,
-	}
-	return res, nil
+	return script.Run(ctx)
 }
 
 // labelMap converts a (seqid, clusterlabel) relation into a map.

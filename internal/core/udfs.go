@@ -126,7 +126,14 @@ func fastaStorage(ctx *pig.Context, path string, _ []pig.Value) (*pig.Relation, 
 		{Name: "seq", Type: "bytearray"},
 		{Name: "header", Type: "chararray"},
 	}}
+	// CalculateMinwiseHash groups k-mers by read ID, so two records that
+	// share an ID would silently fold into one chimeric signature.
+	seen := make(map[string]struct{}, len(recs))
 	for _, r := range recs {
+		if _, dup := seen[r.ID]; dup {
+			return nil, fmt.Errorf("FastaStorage: %s: read ID %q appears more than once", path, r.ID)
+		}
+		seen[r.ID] = struct{}{}
 		rel.Tuples = append(rel.Tuples, pig.NewTuple(r.ID, int64(r.Len()), string(r.Seq), r.Header()))
 	}
 	return rel, nil
@@ -205,7 +212,10 @@ func translateToKmer(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 // calculateMinwiseHash is the grouped UDF of Algorithm 3 step 4: all
 // k-mers of one read (grouped by seqid) are folded into an n-value
 // minwise signature using universal hash functions with modulus range
-// $DIV (a prime exceeding the feature-space size).
+// $DIV (a prime exceeding the feature-space size). The signature is
+// emitted Prepared, so each read's sorted slot values are computed once
+// per run and every pair of the all-pairs matrix is one allocation-free
+// merge.
 func calculateMinwiseHash(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	if len(args) != 4 {
 		return nil, fmt.Errorf("CalculateMinwiseHash expects (kmers, seqid, numhash, div), got %d args", len(args))
@@ -241,8 +251,7 @@ func calculateMinwiseHash(ctx *pig.Context, args []pig.Value) (pig.Value, error)
 		}
 		packed = append(packed, uint64(x))
 	}
-	sig := sk.SketchSlice(packed)
-	return pig.NewTuple(sig, id), nil
+	return pig.NewTuple(minhash.Prepare(sk.SketchSlice(packed)), id), nil
 }
 
 // calculatePairwiseSimilarity computes one row of the all-pairs matrix
@@ -260,7 +269,7 @@ func calculatePairwiseSimilarity(_ *pig.Context, args []pig.Value) (pig.Value, e
 	if len(args) != 2 && len(args) != 3 {
 		return nil, fmt.Errorf("CalculatePairwiseSimilarity expects (minwise, [seqid,] allrows), got %d args", len(args))
 	}
-	sig, ok := args[0].(minhash.Signature)
+	sig, ok := args[0].(minhash.Prepared)
 	if !ok {
 		return nil, fmt.Errorf("CalculatePairwiseSimilarity: first arg is %T, want signature", args[0])
 	}
@@ -281,17 +290,17 @@ func calculatePairwiseSimilarity(_ *pig.Context, args []pig.Value) (pig.Value, e
 	row := make([]float64, len(all))
 	rowIdx := -1
 	for j, tup := range all {
-		other, ok := tup.Fields[0].(minhash.Signature)
+		other, ok := tup.Fields[0].(minhash.Prepared)
 		if !ok {
 			return nil, fmt.Errorf("CalculatePairwiseSimilarity: bag tuple field is %T", tup.Fields[0])
 		}
-		row[j] = minhash.SetOverlap.Similarity(sig, other)
+		row[j] = minhash.SetOverlap.SimilarityPrepared(sig, other)
 		if rowIdx < 0 {
 			if selfID != "" && len(tup.Fields) > 1 {
 				if id, err := pig.AsString(tup.Fields[1]); err == nil && id == selfID {
 					rowIdx = j
 				}
-			} else if selfID == "" && sig.Equal(other) {
+			} else if selfID == "" && sig.Sig.Equal(other.Sig) {
 				rowIdx = j
 			}
 		}
@@ -374,7 +383,8 @@ func agglomerativeClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, er
 
 // greedyClusteringUDF is Algorithm 3 step 9: greedy clustering over the
 // grouped bag of (signature, seqid) tuples, emitting (seqid, clusterlabel).
-func greedyClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, error) {
+// Like LSHClustering it runs on the backing ctx.StoreBits selects.
+func greedyClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("GreedyClustering expects (bag, numhash, cutoff), got %d args", len(args))
 	}
@@ -382,25 +392,23 @@ func greedyClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("GreedyClustering: first arg is %T, want bag", args[0])
 	}
+	numhash, err := pig.AsInt(args[1])
+	if err != nil {
+		return nil, err
+	}
 	cutoff, err := pig.AsFloat(args[2])
 	if err != nil {
 		return nil, err
 	}
-	sigs := make([]minhash.Signature, len(bag))
-	ids := make([]string, len(bag))
-	for i, tup := range bag {
-		sig, ok := tup.Fields[0].(minhash.Signature)
-		if !ok {
-			return nil, fmt.Errorf("GreedyClustering: bag tuple field is %T", tup.Fields[0])
-		}
-		sigs[i] = sig
-		id, err := pig.AsString(tup.Fields[1])
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
+	sigs, ids, err := bagSignatures("GreedyClustering", bag)
+	if err != nil {
+		return nil, err
 	}
-	labels, err := cluster.Greedy(sigs, cluster.GreedyOptions{Threshold: cutoff, Estimator: minhash.SetOverlap})
+	src, err := clusterSource(ctx, numhash, sigs)
+	if err != nil {
+		return nil, err
+	}
+	labels, err := cluster.GreedySource(src, cluster.GreedyOptions{Threshold: cutoff, Estimator: minhash.SetOverlap})
 	if err != nil {
 		return nil, err
 	}
@@ -409,6 +417,26 @@ func greedyClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 		out[i] = pig.NewTuple(ids[i], int64(labels[i]))
 	}
 	return out, nil
+}
+
+// bagSignatures unpacks a grouped bag of (signature, seqid) tuples, as
+// CalculateMinwiseHash emits them, into index-aligned signatures and ids.
+func bagSignatures(udf string, bag pig.Bag) ([]minhash.Signature, []string, error) {
+	sigs := make([]minhash.Signature, len(bag))
+	ids := make([]string, len(bag))
+	for i, tup := range bag {
+		p, ok := tup.Fields[0].(minhash.Prepared)
+		if !ok {
+			return nil, nil, fmt.Errorf("%s: bag tuple field is %T", udf, tup.Fields[0])
+		}
+		sigs[i] = p.Sig
+		id, err := pig.AsString(tup.Fields[1])
+		if err != nil {
+			return nil, nil, err
+		}
+		ids[i] = id
+	}
+	return sigs, ids, nil
 }
 
 // lshClusteringUDF is the sub-quadratic replacement for Algorithm 3's
@@ -447,19 +475,9 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	if cutoff <= 0 {
 		return nil, fmt.Errorf("LSHClustering: cutoff must be > 0, got %v", cutoff)
 	}
-	sigs := make([]minhash.Signature, len(bag))
-	ids := make([]string, len(bag))
-	for i, tup := range bag {
-		sig, ok := tup.Fields[0].(minhash.Signature)
-		if !ok {
-			return nil, fmt.Errorf("LSHClustering: bag tuple field is %T", tup.Fields[0])
-		}
-		sigs[i] = sig
-		id, err := pig.AsString(tup.Fields[1])
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
+	sigs, ids, err := bagSignatures("LSHClustering", bag)
+	if err != nil {
+		return nil, err
 	}
 	src, err := clusterSource(ctx, numhash, sigs)
 	if err != nil {

@@ -1,6 +1,6 @@
 package minhash
 
-import "sort"
+import "slices"
 
 // Estimator selects how Jaccard similarity is estimated from two signatures.
 type Estimator int
@@ -70,7 +70,7 @@ func setOverlap(a, b Signature) float64 {
 func distinctSorted(sig Signature) []uint64 {
 	vals := make([]uint64, len(sig))
 	copy(vals, sig)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	out := vals[:0]
 	for i, v := range vals {
 		if i == 0 || v != vals[i-1] {

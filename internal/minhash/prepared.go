@@ -1,5 +1,7 @@
 package minhash
 
+import "fmt"
+
 // Prepared caches the derived views of a signature that the similarity
 // kernels need, so comparing a pair allocates nothing. The all-pairs
 // matrix build evaluates O(N²) pairs but only N signatures exist; the
@@ -28,6 +30,11 @@ func PrepareAll(sigs []Signature) []Prepared {
 	}
 	return out
 }
+
+// String renders the underlying signature exactly as fmt prints a bare
+// Signature, so a Prepared value in textual output (Pig DUMP and STORE)
+// reads the same as the signature it caches.
+func (p Prepared) String() string { return fmt.Sprint([]uint64(p.Sig)) }
 
 // Empty reports whether the underlying signature came from an empty
 // feature set.
