@@ -66,6 +66,9 @@ func (s *SliceSource) BandHash(i, band, rows int) uint64 {
 // Sig returns the underlying signature for i (borrowed).
 func (s *SliceSource) Sig(i int) minhash.Signature { return s.sigs[i] }
 
+// Prepared returns the cached Prepared view for i.
+func (s *SliceSource) Prepared(i int) minhash.Prepared { return s.prep[i] }
+
 // PackedSig returns the zero value: slice sources hold full-width
 // signatures only. (Mirrors sigstore.View's Sig/PackedSig pairing so
 // both satisfy the pipeline's source interface.)

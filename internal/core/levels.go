@@ -29,11 +29,16 @@ type LevelsResult struct {
 
 // RunLevels executes the hierarchical pipeline once and cuts the
 // dendrogram at every threshold (finest first). Options' Theta is ignored.
+// It always builds the exact similarity matrix, so it rejects
+// Candidate == CandidateLSH rather than silently ignoring it.
 func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResult, error) {
 	opt = opt.withDefaults()
 	opt.Mode = HierarchicalMode
 	if err := opt.Validate(); err != nil {
 		return nil, err
+	}
+	if opt.Candidate != CandidateExact {
+		return nil, fmt.Errorf("core: RunLevels builds the exact similarity matrix; Candidate=%v is not supported", opt.Candidate)
 	}
 	if len(thetas) == 0 {
 		return nil, fmt.Errorf("core: RunLevels needs at least one threshold")
@@ -48,6 +53,8 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 		return nil, err
 	}
 	engine.Trace = opt.Trace
+	engine.Faults = opt.Faults
+	engine.Retry = opt.Retry
 	res := &LevelsResult{ReadIDs: make([]string, len(reads))}
 	for i := range reads {
 		res.ReadIDs[i] = reads[i].ID
@@ -60,7 +67,7 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 	res.Jobs++
 	// Same source routing as Run: the matrix rows read borrowed store rows
 	// unless the legacy slice oracle (StoreBits == -1) is requested.
-	var src cluster.SigSource = cluster.NewSliceSource(sigs, opt.Estimator)
+	var src sigSource = cluster.NewSliceSource(sigs, opt.Estimator)
 	if opt.StoreBits >= 0 {
 		store, err := buildStore(reads, sigs, opt)
 		if err != nil {
@@ -105,6 +112,8 @@ func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Op
 		return nil, err
 	}
 	engine.Trace = opt.Trace
+	engine.Faults = opt.Faults
+	engine.Retry = opt.Retry
 	sigs, _, err := sketchJob(engine, reads, opt)
 	if err != nil {
 		return nil, err

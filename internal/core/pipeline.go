@@ -631,6 +631,9 @@ type sigSource interface {
 	// PackedSig returns the borrowed packed signature for i (the zero
 	// value on full-width sources).
 	PackedSig(i int) minhash.BBitSignature
+	// Prepared returns the cached Prepared view for i (the zero value on
+	// packed stores).
+	Prepared(i int) minhash.Prepared
 }
 
 // buildStore ingests a sketched corpus into a sharded signature store.
@@ -735,22 +738,39 @@ func greedyJob(engine *mapreduce.Engine, src sigSource, opt Options) (metrics.Cl
 
 // similarityJob computes the all-pairs matrix with row-partitioned map
 // tasks (paper §III-C: "calculation of all pairwise similarity is
-// performed in parallel by performing a row-wise partition"). Map tasks
-// read pairs straight off the source — prepared slices or store arenas —
-// so the O(n²) row scans are allocation-free either way.
-func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options) (*cluster.Matrix, *mapreduce.Result, error) {
+// performed in parallel by performing a row-wise partition"). Each map
+// task emits only its row's upper-triangle tail. Full-width set-overlap
+// rows are counted off a postings index the driver builds once
+// (minhash.Postings, bit-identical to the pairwise kernel), with a pooled
+// counter per task; packed stores and the matched-positions estimator
+// read pairs straight off the source.
+func similarityJob(engine *mapreduce.Engine, src sigSource, opt Options) (*cluster.Matrix, *mapreduce.Result, error) {
 	n := src.Len()
 	m, err := cluster.NewMatrix(n)
 	if err != nil {
 		return nil, nil, err
 	}
+	var post *minhash.Postings
+	if opt.StoreBits <= 0 && opt.Estimator == minhash.SetOverlap {
+		prep := make([]minhash.Prepared, n)
+		for i := range prep {
+			prep[i] = src.Prepared(i)
+		}
+		if post, err = minhash.NewPostings(prep); err != nil {
+			return nil, nil, err
+		}
+	}
+	counters := sync.Pool{New: func() any {
+		c := make([]int32, n)
+		return &c
+	}}
 	records := make([]mapreduce.KeyValue, n)
 	for i := range records {
 		records[i] = mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: i}
 	}
 	type rowResult struct {
-		idx int
-		row []float64
+		idx  int
+		tail []float64 // similarities of idx with idx+1 .. n-1
 	}
 	job := &mapreduce.Job{
 		Name:               "mrmcminh-simrows",
@@ -761,11 +781,17 @@ func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options)
 		MapCostFactor: float64(n) * 2.5,
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			i := kv.Value.(int)
-			row := make([]float64, n)
-			for j := i + 1; j < n; j++ {
-				row[j] = src.Similarity(i, j)
+			tail := make([]float64, n-i-1)
+			if post != nil {
+				counts := counters.Get().(*[]int32)
+				post.Row(i, tail, *counts)
+				counters.Put(counts)
+			} else {
+				for k := range tail {
+					tail[k] = src.Similarity(i, i+1+k)
+				}
 			}
-			emit(mapreduce.KeyValue{Key: kv.Key, Value: rowResult{idx: i, row: row}})
+			emit(mapreduce.KeyValue{Key: kv.Key, Value: rowResult{idx: i, tail: tail}})
 			return nil
 		},
 	}
@@ -775,8 +801,8 @@ func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options)
 	}
 	for _, kv := range out.Output {
 		rr := kv.Value.(rowResult)
-		for j := rr.idx + 1; j < n; j++ {
-			m.Set(rr.idx, j, rr.row[j])
+		for k, v := range rr.tail {
+			m.Set(rr.idx, rr.idx+1+k, v)
 		}
 	}
 	return m, out, nil

@@ -111,6 +111,35 @@ func TestSketchIntoMatchesSketch(t *testing.T) {
 	}
 }
 
+// TestSketchIntoMaskAndModulus pins both reductions of SketchInto — the
+// mask for a power-of-two range and the division for any other — to
+// HashFamily.Hash and the map-based Sketch.
+func TestSketchIntoMaskAndModulus(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, m := range []uint64{1, 2, 64, 1 << 10, kmer.FeatureSpace(20), 3, 1000, 1009, 4099} {
+		for _, n := range []int{1, 5, 8} {
+			sk := &Sketcher{Family: MustHashFamily(n, m, int64(m)+int64(n))}
+			kms := make([]uint64, 1+rng.Intn(300))
+			for i := range kms {
+				kms[i] = rng.Uint64() % (4 * m)
+			}
+			want := make(Signature, n)
+			for i := range want {
+				want[i] = EmptyMin
+				for _, x := range kms {
+					want[i] = min(want[i], sk.Family.Hash(i, x))
+				}
+			}
+			if got := sk.SketchInto(nil, kms); !got.Equal(want) {
+				t.Fatalf("M=%d n=%d: SketchInto %v, per-hash minima %v", m, n, got, want)
+			}
+			if got := sk.Sketch(kmer.FromSlice(kms)); !got.Equal(want) {
+				t.Fatalf("M=%d n=%d: Sketch %v, per-hash minima %v", m, n, got, want)
+			}
+		}
+	}
+}
+
 // benchSigPair sketches two overlapping k-mer sets at the paper's
 // whole-metagenome defaults (k=5, n=100 hashes) for pair benchmarks.
 func benchSigPair() (Signature, Signature) {

@@ -67,7 +67,9 @@ func (s *Sketcher) SketchSlice(kms []uint64) Signature {
 // runs the hash lanes four at a time over the whole feature slice,
 // keeping the running minima in registers instead of re-loading the
 // signature slot on every feature — the batched kernel behind the
-// pipeline's sketch map tasks.
+// pipeline's sketch map tasks. When the range M is a power of two (the
+// k-mer space 4^k always is) the final reduction is a mask instead of a
+// division.
 func (s *Sketcher) SketchInto(dst Signature, kms []uint64) Signature {
 	f := s.Family
 	n := f.N()
@@ -75,44 +77,66 @@ func (s *Sketcher) SketchInto(dst Signature, kms []uint64) Signature {
 		dst = make(Signature, n)
 	}
 	dst = dst[:n]
-	if len(kms) == 0 {
+	switch {
+	case len(kms) == 0:
 		for i := range dst {
 			dst[i] = EmptyMin
 		}
-		return dst
+	case f.M&(f.M-1) == 0:
+		sketchMasked(dst, kms, f.A, f.B, f.M-1)
+	default:
+		sketchMod(dst, kms, f.A, f.B, f.M)
 	}
+	return dst
+}
+
+// sketchMasked is SketchInto's kernel for a power-of-two range:
+// h mod M == h & (M-1).
+func sketchMasked(dst Signature, kms, A, B []uint64, mask uint64) {
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		a0, a1, a2, a3 := f.A[i], f.A[i+1], f.A[i+2], f.A[i+3]
-		b0, b1, b2, b3 := f.B[i], f.B[i+1], f.B[i+2], f.B[i+3]
+	for ; i+4 <= len(dst); i += 4 {
+		a0, a1, a2, a3 := A[i], A[i+1], A[i+2], A[i+3]
+		b0, b1, b2, b3 := B[i], B[i+1], B[i+2], B[i+3]
 		m0, m1, m2, m3 := uint64(EmptyMin), uint64(EmptyMin), uint64(EmptyMin), uint64(EmptyMin)
 		for _, x := range kms {
-			if h := mulAddMod61(a0, x, b0) % f.M; h < m0 {
-				m0 = h
-			}
-			if h := mulAddMod61(a1, x, b1) % f.M; h < m1 {
-				m1 = h
-			}
-			if h := mulAddMod61(a2, x, b2) % f.M; h < m2 {
-				m2 = h
-			}
-			if h := mulAddMod61(a3, x, b3) % f.M; h < m3 {
-				m3 = h
-			}
+			m0 = min(m0, mulAddMod61(a0, x, b0)&mask)
+			m1 = min(m1, mulAddMod61(a1, x, b1)&mask)
+			m2 = min(m2, mulAddMod61(a2, x, b2)&mask)
+			m3 = min(m3, mulAddMod61(a3, x, b3)&mask)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = m0, m1, m2, m3
 	}
-	for ; i < n; i++ {
-		a, b := f.A[i], f.B[i]
+	for ; i < len(dst); i++ {
 		m := uint64(EmptyMin)
 		for _, x := range kms {
-			if h := mulAddMod61(a, x, b) % f.M; h < m {
-				m = h
-			}
+			m = min(m, mulAddMod61(A[i], x, B[i])&mask)
 		}
 		dst[i] = m
 	}
-	return dst
+}
+
+// sketchMod is SketchInto's kernel for any other range M.
+func sketchMod(dst Signature, kms, A, B []uint64, M uint64) {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		a0, a1, a2, a3 := A[i], A[i+1], A[i+2], A[i+3]
+		b0, b1, b2, b3 := B[i], B[i+1], B[i+2], B[i+3]
+		m0, m1, m2, m3 := uint64(EmptyMin), uint64(EmptyMin), uint64(EmptyMin), uint64(EmptyMin)
+		for _, x := range kms {
+			m0 = min(m0, mulAddMod61(a0, x, b0)%M)
+			m1 = min(m1, mulAddMod61(a1, x, b1)%M)
+			m2 = min(m2, mulAddMod61(a2, x, b2)%M)
+			m3 = min(m3, mulAddMod61(a3, x, b3)%M)
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = m0, m1, m2, m3
+	}
+	for ; i < len(dst); i++ {
+		m := uint64(EmptyMin)
+		for _, x := range kms {
+			m = min(m, mulAddMod61(A[i], x, B[i])%M)
+		}
+		dst[i] = m
+	}
 }
 
 // observe folds one feature into a partial signature.
