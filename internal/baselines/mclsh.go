@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/kmer"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
@@ -35,43 +36,15 @@ func (MCLSH) Cluster(reads []fasta.Record, opt Options) (metrics.Clustering, err
 	if w == 0 {
 		w = 10
 	}
-	n := len(reads)
 	sk, err := minhash.NewSketcher(mclshBands*mclshRows, w, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 	e := kmer.MustExtractor(w)
-	sigs := make([]minhash.Signature, n)
+	sigs := make([]minhash.Signature, len(reads))
 	for i := range reads {
 		sigs[i] = sk.Sketch(e.Set(reads[i].Seq))
 	}
-	idx, err := minhash.NewBandIndex(mclshBands, mclshRows)
-	if err != nil {
-		return nil, err
-	}
-	assign := freshClustering(n)
-	repLabel := map[int]int{} // band-index id -> cluster label
-	next := 0
-	for i := 0; i < n; i++ {
-		placed := false
-		if !sigs[i].Empty() {
-			for _, cand := range idx.Candidates(sigs[i]) {
-				if minhash.MatchedPositions.Similarity(sigs[i], idx.Signature(cand)) >= opt.Threshold {
-					assign[i] = repLabel[cand]
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
-			id, err := idx.Add(sigs[i])
-			if err != nil {
-				return nil, err
-			}
-			repLabel[id] = next
-			assign[i] = next
-			next++
-		}
-	}
-	return assign, nil
+	return cluster.GreedyLSHSource(cluster.NewSliceSource(sigs, minhash.MatchedPositions),
+		cluster.GreedyOptions{Threshold: opt.Threshold}, cluster.LSHOptions{Bands: mclshBands, Rows: mclshRows})
 }

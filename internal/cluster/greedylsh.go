@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // LSHOptions sizes the banding index used to accelerate greedy clustering.
@@ -54,64 +53,95 @@ func kneeOf(bands, rows int) float64 {
 	return math.Pow(1/float64(bands), 1/float64(rows))
 }
 
-// GreedyLSH is Algorithm 1 with a banded LSH index over cluster
-// representatives: instead of scanning every representative, a new read
-// checks only representatives sharing at least one LSH band — the
-// MC-LSH acceleration folded into MrMC-MinH as an optional fast path.
-// Results can differ slightly from exact Greedy when a qualifying
-// representative never collides (missed-candidate recall loss).
-func GreedyLSH(sigs []minhash.Signature, opt GreedyOptions, lsh LSHOptions) (metrics.Clustering, error) {
-	if err := opt.Validate(); err != nil {
+// BandIndex is the banded-LSH candidate index of the authors' earlier
+// MC-LSH (and of Sunarso et al.'s protein clustering) over a SigSource:
+// every element added is filed under the hash of each of its bands, and
+// a query's candidates are the added elements sharing at least one band
+// hash. A pair with Jaccard similarity s becomes a candidate with
+// probability minhash.CollisionProbability(s, Bands, Rows).
+type BandIndex struct {
+	src     SigSource
+	rows    int
+	buckets []map[uint64][]int // per band: band hash -> ids, in insertion order
+	// marks/gen implement allocation-free candidate dedup: marks[id]
+	// holds the generation of the last query that saw id, so a query
+	// only needs one counter bump instead of a fresh set.
+	marks []uint32
+	gen   uint32
+}
+
+// NewBandIndex creates an empty index over src's signatures.
+func NewBandIndex(src SigSource, geo LSHOptions) (*BandIndex, error) {
+	if err := geo.Validate(src.NumHashes()); err != nil {
 		return nil, err
 	}
-	sigLen := 0
-	for _, s := range sigs {
-		if len(s) > sigLen {
-			sigLen = len(s)
+	ix := &BandIndex{src: src, rows: geo.Rows, buckets: make([]map[uint64][]int, geo.Bands)}
+	for b := range ix.buckets {
+		ix.buckets[b] = make(map[uint64][]int)
+	}
+	return ix, nil
+}
+
+// Add files source element i under its band hashes. Ids are dense in
+// insertion order: the k-th element added has id k.
+func (ix *BandIndex) Add(i int) {
+	id := len(ix.marks)
+	ix.marks = append(ix.marks, 0)
+	for b, bucket := range ix.buckets {
+		h := ix.src.BandHash(i, b, ix.rows)
+		bucket[h] = append(bucket[h], id)
+	}
+}
+
+// CandidatesInto appends to buf the ids of the added elements that share
+// a band hash with source element i, each once, in order of first
+// encounter across bands, and returns the extended slice. Passing buf[:0]
+// of a reused slice makes a query allocation-free.
+func (ix *BandIndex) CandidatesInto(i int, buf []int) []int {
+	ix.gen++
+	if ix.gen == 0 { // generation counter wrapped: invalidate stale marks
+		clear(ix.marks)
+		ix.gen = 1
+	}
+	for b, bucket := range ix.buckets {
+		for _, id := range bucket[ix.src.BandHash(i, b, ix.rows)] {
+			if ix.marks[id] != ix.gen {
+				ix.marks[id] = ix.gen
+				buf = append(buf, id)
+			}
 		}
 	}
-	if len(sigs) > 0 {
-		if err := lsh.Validate(sigLen); err != nil {
+	return buf
+}
+
+// GreedyLSHSource is Algorithm 1 with a BandIndex over the cluster
+// representatives: instead of scanning every representative, a read
+// checks only the representatives sharing at least one band — the MC-LSH
+// acceleration folded into MrMC-MinH as an optional fast path. Results
+// can differ slightly from exact GreedySource when a qualifying
+// representative never collides (missed-candidate recall loss). It is the
+// online IncrementalSource fed the reads in order.
+func GreedyLSHSource(src SigSource, opt GreedyOptions, lsh LSHOptions) (metrics.Clustering, error) {
+	n := src.Len()
+	if n == 0 {
+		if err := opt.Validate(); err != nil {
 			return nil, err
 		}
+		// An empty source has no signature length to check the geometry
+		// against; only its positivity is validated.
+		if err := lsh.Validate(lsh.Bands * lsh.Rows); err != nil {
+			return nil, err
+		}
+		return metrics.Clustering{}, nil
 	}
-	idx, err := minhash.NewBandIndex(lsh.Bands, lsh.Rows)
+	inc, err := NewIncrementalSource(src, opt, &lsh)
 	if err != nil {
 		return nil, err
 	}
-	prep := minhash.PrepareAll(sigs)
-	assign := make(metrics.Clustering, len(sigs))
+	assign := make(metrics.Clustering, n)
 	for i := range assign {
-		assign[i] = -1
-	}
-	repLabel := map[int]int{}
-	var repOrig []int // band-index id -> original signature index
-	var candBuf []int // reused across queries (CandidatesInto)
-	next := 0
-	for i, sig := range sigs {
-		placed := false
-		if !sig.Empty() {
-			candBuf = idx.CandidatesInto(sig, candBuf[:0])
-			for _, cand := range candBuf {
-				if opt.Estimator.SimilarityPrepared(prep[i], prep[repOrig[cand]]) >= opt.Threshold {
-					assign[i] = repLabel[cand]
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
-			id, err := idx.Add(sig)
-			if err != nil {
-				return nil, err
-			}
-			if id != len(repOrig) {
-				return nil, fmt.Errorf("cluster: LSH index id drift")
-			}
-			repOrig = append(repOrig, i)
-			repLabel[id] = next
-			assign[i] = next
-			next++
+		if assign[i], err = inc.Add(i); err != nil {
+			return nil, err
 		}
 	}
 	return assign, nil

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // Linkage selects the cluster-pair similarity update rule.
@@ -206,36 +205,4 @@ func (d *Dendrogram) Heights() []float64 {
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(hs)))
 	return hs
-}
-
-// SimilarityMatrix computes the dense all-pairs matrix from signatures
-// sequentially with the legacy per-pair estimator — the reference
-// implementation that BuildMatrixParallel must match cell for cell.
-// Production paths use BuildMatrixParallel (prepared signatures, tiled
-// worker fan-out); the MapReduce row-parallel path lives in
-// internal/core.
-func SimilarityMatrix(sigs []minhash.Signature, est minhash.Estimator) *Matrix {
-	n := len(sigs)
-	m := MustMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, est.Similarity(sigs[i], sigs[j]))
-		}
-	}
-	return m
-}
-
-// HierarchicalFromSignatures is the end-to-end Algorithm 2: matrix, then
-// dendrogram, then cut at θ. The matrix is built with the parallel tiled
-// kernel over all available cores.
-func HierarchicalFromSignatures(sigs []minhash.Signature, est minhash.Estimator, link Linkage, theta float64) (metrics.Clustering, error) {
-	if theta < 0 || theta > 1 {
-		return nil, fmt.Errorf("cluster: threshold must be in [0,1], got %v", theta)
-	}
-	m := BuildMatrixParallel(sigs, est, 0)
-	d, err := Hierarchical(m, HierarchicalOptions{Linkage: link})
-	if err != nil {
-		return nil, err
-	}
-	return d.CutAt(theta), nil
 }

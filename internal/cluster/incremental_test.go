@@ -8,17 +8,18 @@ import (
 
 func TestIncrementalMatchesBatchGreedyExactly(t *testing.T) {
 	sigs, _ := sketchGroups(t, 4, 12, 51)
-	opt := GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions}
-	batch, err := Greedy(sigs, opt)
+	src := NewSliceSource(sigs, minhash.MatchedPositions)
+	opt := GreedyOptions{Threshold: 0.5}
+	batch, err := GreedySource(src, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(opt, nil)
+	inc, err := NewIncrementalSource(src, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sig := range sigs {
-		label, err := inc.Add(sig)
+	for i := range sigs {
+		label, err := inc.Add(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,53 +34,46 @@ func TestIncrementalMatchesBatchGreedyExactly(t *testing.T) {
 
 func TestIncrementalLSHMatchesGreedyLSH(t *testing.T) {
 	sigs, _ := sketchGroups(t, 3, 10, 52)
-	opt := GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions}
 	geo := GeometryFor(len(sigs[0]), 0.5)
-	batch, err := GreedyLSH(sigs, opt, geo)
+	want := refGreedyLSH(sigs, minhash.MatchedPositions, 0.5, geo)
+	inc, err := NewIncrementalSource(NewSliceSource(sigs, minhash.MatchedPositions), GreedyOptions{Threshold: 0.5}, &geo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(opt, &geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sig := range sigs {
-		label, err := inc.Add(sig)
+	for i := range sigs {
+		label, err := inc.Add(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if label != batch[i] {
-			t.Fatalf("read %d: incremental-LSH label %d != batch %d", i, label, batch[i])
+		if label != want[i] {
+			t.Fatalf("read %d: incremental-LSH label %d != reference %d", i, label, want[i])
 		}
 	}
 }
 
 func TestIncrementalValidation(t *testing.T) {
-	if _, err := NewIncremental(GreedyOptions{Threshold: 2}, nil); err == nil {
+	src := NewSliceSource(make([]minhash.Signature, 1), minhash.SetOverlap)
+	if _, err := NewIncrementalSource(src, GreedyOptions{Threshold: 2}, nil); err == nil {
 		t.Fatal("bad threshold accepted")
 	}
-	if _, err := NewIncremental(GreedyOptions{Threshold: 0.5}, &LSHOptions{Bands: 0, Rows: 1}); err == nil {
+	if _, err := NewIncrementalSource(src, GreedyOptions{Threshold: 0.5}, &LSHOptions{Bands: 0, Rows: 1}); err == nil {
 		t.Fatal("bad geometry accepted")
 	}
-	geo := LSHOptions{Bands: 4, Rows: 4}
-	inc, err := NewIncremental(GreedyOptions{Threshold: 0.5}, &geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.Add(make(minhash.Signature, 8)); err == nil {
-		t.Fatal("short signature accepted")
+	short := NewSliceSource([]minhash.Signature{make(minhash.Signature, 8)}, minhash.SetOverlap)
+	if _, err := NewIncrementalSource(short, GreedyOptions{Threshold: 0.5}, &LSHOptions{Bands: 4, Rows: 4}); err == nil {
+		t.Fatal("geometry longer than the signatures accepted")
 	}
 }
 
 func TestIncrementalEmptySignaturesAreSingletons(t *testing.T) {
-	inc, err := NewIncremental(GreedyOptions{Threshold: 0}, nil)
+	empty := minhash.MustSketcher(10, 5, 1).Sketch(nil)
+	src := NewSliceSource([]minhash.Signature{empty, empty.Clone()}, minhash.SetOverlap)
+	inc, err := NewIncrementalSource(src, GreedyOptions{Threshold: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk := minhash.MustSketcher(10, 5, 1)
-	empty := sk.Sketch(nil)
-	l1, _ := inc.Add(empty)
-	l2, _ := inc.Add(empty.Clone())
+	l1, _ := inc.Add(0)
+	l2, _ := inc.Add(1)
 	if l1 == l2 {
 		t.Fatal("empty signatures merged")
 	}

@@ -49,7 +49,7 @@ func TestLevelsAreNestedDetectsViolation(t *testing.T) {
 
 func TestRepresentatives(t *testing.T) {
 	sigs, _ := sketchGroups(t, 2, 5, 31)
-	labels, err := Greedy(sigs, GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions})
+	labels, err := GreedySource(NewSliceSource(sigs, minhash.MatchedPositions), GreedyOptions{Threshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ const matrixTile = 64
 // are Prepared once so every pair comparison is allocation-free, and
 // row blocks are fanned out over the pool with each worker writing only
 // its own rows — lock-free and race-free by construction. The result is
-// cell-for-cell identical to SimilarityMatrix regardless of worker
-// count.
+// cell-for-cell identical to the sequential per-pair loop regardless of
+// worker count.
 func BuildMatrixParallel(sigs []minhash.Signature, est minhash.Estimator, workers int) *Matrix {
 	prep := minhash.PrepareAll(sigs)
 	return BuildMatrixParallelFunc(len(sigs), workers, func(i, j int) float64 {

@@ -42,7 +42,7 @@ func TestBuildMatrixParallelMatchesSequential(t *testing.T) {
 	sigs[17] = minhash.Signature(nil)                             // nil signature
 	sigs[63] = minhash.MustSketcher(100, 5, 1).Sketch(kmer.Set{}) // empty feature set
 	for _, est := range []minhash.Estimator{minhash.SetOverlap, minhash.MatchedPositions} {
-		want := SimilarityMatrix(sigs, est)
+		want := refSimilarityMatrix(sigs, est)
 		for _, workers := range []int{0, 1, 2, 3, 7, 16} {
 			got := BuildMatrixParallel(sigs, est, workers)
 			if got.N() != want.N() {
@@ -102,7 +102,7 @@ func TestBuildMatrixParallelConcurrentStress(t *testing.T) {
 func TestHierarchicalKernelPathEquivalence(t *testing.T) {
 	sigs := benchSigs(120, 9)
 	for _, link := range []Linkage{Single, Average, Complete} {
-		legacy, err := Hierarchical(SimilarityMatrix(sigs, minhash.SetOverlap), HierarchicalOptions{Linkage: link})
+		legacy, err := Hierarchical(refSimilarityMatrix(sigs, minhash.SetOverlap), HierarchicalOptions{Linkage: link})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,17 +124,6 @@ func TestHierarchicalKernelPathEquivalence(t *testing.T) {
 				t.Fatalf("link %v: label %d differs", link, i)
 			}
 		}
-	}
-}
-
-// BenchmarkBuildMatrixSequential500 is the pre-kernel all-pairs build:
-// per-pair set-overlap with re-sorting allocations, single-threaded.
-func BenchmarkBuildMatrixSequential500(b *testing.B) {
-	sigs := benchSigs(500, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = SimilarityMatrix(sigs, minhash.SetOverlap)
 	}
 }
 

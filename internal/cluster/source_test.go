@@ -52,42 +52,37 @@ func clusteringsEqual(t *testing.T, name string, got, want []int) {
 }
 
 // TestGreedySourceEquivalence pins GreedySource over a SliceSource to be
-// identical to the slice-backed Greedy oracle.
+// identical to the brute-force refGreedy, at thresholds including 0 and 1.
 func TestGreedySourceEquivalence(t *testing.T) {
 	sigs := sourceTestSigs(150, 40, 6, 11, 1)
+	sigs[0], sigs[10] = sigs[10], sigs[0] // an empty signature comes first
 	for _, est := range []minhash.Estimator{minhash.SetOverlap, minhash.MatchedPositions} {
-		opt := GreedyOptions{Threshold: 0.6, Estimator: est}
-		want, err := Greedy(sigs, opt)
-		if err != nil {
-			t.Fatal(err)
+		for _, theta := range []float64{0, 0.6, 1} {
+			got, err := GreedySource(NewSliceSource(sigs, est), GreedyOptions{Threshold: theta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clusteringsEqual(t, "GreedySource", got, refGreedy(sigs, est, theta))
 		}
-		got, err := GreedySource(NewSliceSource(sigs, est), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clusteringsEqual(t, "GreedySource", got, want)
 	}
 	if _, err := GreedySource(NewSliceSource(nil, minhash.SetOverlap), GreedyOptions{Threshold: 2}); err == nil {
 		t.Fatal("bad threshold: expected error")
 	}
 }
 
-// TestGreedyLSHSourceEquivalence pins GreedyLSHSource — including its
-// replicated BandIndex candidate ordering — identical to GreedyLSH.
+// TestGreedyLSHSourceEquivalence pins GreedyLSHSource — BandIndex's
+// candidate order included — identical to the map-dedup refGreedyLSH.
 func TestGreedyLSHSourceEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		sigs := sourceTestSigs(200, 40, 8, 13, seed)
-		opt := GreedyOptions{Threshold: 0.6, Estimator: minhash.SetOverlap}
-		lsh := LSHOptions{Bands: 8, Rows: 5}
-		want, err := GreedyLSH(sigs, opt, lsh)
-		if err != nil {
-			t.Fatal(err)
+		for _, sigs := range [][]minhash.Signature{sourceTestSigs(200, 40, 8, 13, seed), bandTestSigs(200, 40, seed)} {
+			for _, lsh := range []LSHOptions{{Bands: 8, Rows: 5}, {Bands: 20, Rows: 1}} {
+				got, err := GreedyLSHSource(NewSliceSource(sigs, minhash.SetOverlap), GreedyOptions{Threshold: 0.6}, lsh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clusteringsEqual(t, "GreedyLSHSource", got, refGreedyLSH(sigs, minhash.SetOverlap, 0.6, lsh))
+			}
 		}
-		got, err := GreedyLSHSource(NewSliceSource(sigs, opt.Estimator), opt, lsh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clusteringsEqual(t, "GreedyLSHSource", got, want)
 	}
 }
 
@@ -110,14 +105,15 @@ func TestGreedyLSHSourceValidation(t *testing.T) {
 }
 
 // TestHierarchicalFromSourceEquivalence pins HierarchicalFromSource
-// identical to HierarchicalFromSignatures for every linkage.
+// identical to the dendrogram of refSimilarityMatrix for every linkage.
 func TestHierarchicalFromSourceEquivalence(t *testing.T) {
 	sigs := sourceTestSigs(90, 30, 5, 10, 2)
 	for _, link := range []Linkage{Single, Average, Complete} {
-		want, err := HierarchicalFromSignatures(sigs, minhash.SetOverlap, link, 0.6)
+		d, err := Hierarchical(refSimilarityMatrix(sigs, minhash.SetOverlap), HierarchicalOptions{Linkage: link})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := d.CutAt(0.6)
 		got, err := HierarchicalFromSource(NewSliceSource(sigs, minhash.SetOverlap), link, 0.6)
 		if err != nil {
 			t.Fatal(err)
@@ -129,39 +125,41 @@ func TestHierarchicalFromSourceEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalSourceEquivalence pins IncrementalSource identical to
-// Incremental given the same arrival order, with and without banding.
+// TestIncrementalSourceEquivalence pins IncrementalSource, fed the reads
+// in order, identical to refGreedy without banding and to refGreedyLSH
+// with it.
 func TestIncrementalSourceEquivalence(t *testing.T) {
 	sigs := sourceTestSigs(120, 40, 6, 9, 3)
-	opt := GreedyOptions{Threshold: 0.6, Estimator: minhash.SetOverlap}
-	for _, geo := range []*LSHOptions{nil, {Bands: 8, Rows: 5}} {
-		ref, err := NewIncremental(opt, geo)
+	sigs = append(sigs, sigs[:5]...) // exact copies reach θ = 1
+	banded := &LSHOptions{Bands: 8, Rows: 5}
+	for _, tc := range []struct {
+		theta float64
+		geo   *LSHOptions
+	}{{0.6, nil}, {1, nil}, {0, banded}, {0.6, banded}, {1, banded}} {
+		opt, geo := GreedyOptions{Threshold: tc.theta}, tc.geo
+		want := refGreedy(sigs, minhash.SetOverlap, opt.Threshold)
+		if geo != nil {
+			want = refGreedyLSH(sigs, minhash.SetOverlap, opt.Threshold, *geo)
+		}
+		src, err := NewIncrementalSource(NewSliceSource(sigs, minhash.SetOverlap), opt, geo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewIncrementalSource(NewSliceSource(sigs, opt.Estimator), opt, geo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, sig := range sigs {
-			want, err := ref.Add(sig)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for i := range sigs {
 			got, err := src.Add(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("geo=%v read %d: label %d, want %d", geo, i, got, want)
+			if got != want[i] {
+				t.Fatalf("geo=%v read %d: label %d, want %d", geo, i, got, want[i])
 			}
 		}
-		if src.NumClusters() != ref.NumClusters() || src.NumReads() != ref.NumReads() {
+		if src.NumClusters() != want.NumClusters() || src.NumReads() != len(sigs) {
 			t.Fatalf("geo=%v: counts %d/%d vs %d/%d", geo,
-				src.NumClusters(), src.NumReads(), ref.NumClusters(), ref.NumReads())
+				src.NumClusters(), src.NumReads(), want.NumClusters(), len(sigs))
 		}
 	}
-	src, _ := NewIncrementalSource(NewSliceSource(sigs, opt.Estimator), opt, nil)
+	src, _ := NewIncrementalSource(NewSliceSource(sigs, minhash.SetOverlap), GreedyOptions{Threshold: 0.6}, nil)
 	if _, err := src.Add(len(sigs)); err == nil {
 		t.Fatal("out-of-range index: expected error")
 	}
@@ -196,14 +194,9 @@ func TestSubsetSourceProjects(t *testing.T) {
 		}
 	}
 	// Clustering a subset equals clustering the copied-out slice.
-	opt := GreedyOptions{Threshold: 0.6, Estimator: minhash.SetOverlap}
-	want, err := Greedy(picked, opt)
+	got, err := GreedySource(sub, GreedyOptions{Threshold: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GreedySource(sub, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusteringsEqual(t, "subset greedy", got, want)
+	clusteringsEqual(t, "subset greedy", got, refGreedy(picked, minhash.SetOverlap, 0.6))
 }

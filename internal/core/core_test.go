@@ -66,6 +66,8 @@ func TestOptionsValidate(t *testing.T) {
 		{Theta: 1.5},
 		{Theta: -0.1},
 		{Mode: Mode(7)},
+		{StoreBits: -1},
+		{StoreBits: 17},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -124,7 +126,7 @@ func TestRunHierarchicalMatchesLegacyKernels(t *testing.T) {
 	for i := range reads {
 		sigs[i] = sk.Sketch(ex.Set(reads[i].Seq))
 	}
-	dend, err := cluster.Hierarchical(cluster.SimilarityMatrix(sigs, minhash.SetOverlap), cluster.HierarchicalOptions{Linkage: cluster.Average})
+	dend, err := cluster.Hierarchical(refMatrix(sigs), cluster.HierarchicalOptions{Linkage: cluster.Average})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +318,9 @@ func TestRunScriptValidation(t *testing.T) {
 	}
 	if _, err := RunScript(fs, smallCluster(), ScriptParams{Input: "/missing", K: 5, NumHash: 10}, 1); err == nil {
 		t.Fatal("missing input accepted")
+	}
+	if _, err := RunScriptOpts(fs, smallCluster(), ScriptParams{K: 5, NumHash: 10}, 1, ScriptOptions{StoreBits: -1}); err == nil || !strings.Contains(err.Error(), "StoreBits") {
+		t.Fatalf("StoreBits -1 accepted: %v", err)
 	}
 }
 

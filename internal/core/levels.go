@@ -8,6 +8,7 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
+	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // LevelAssignment is one flat clustering extracted from the shared
@@ -65,19 +66,14 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 	}
 	res.Virtual += skOut.Virtual
 	res.Jobs++
-	// Same source routing as Run: the matrix rows read borrowed store rows
-	// unless the legacy slice oracle (StoreBits == -1) is requested.
-	var src sigSource = cluster.NewSliceSource(sigs, opt.Estimator)
-	if opt.StoreBits >= 0 {
-		store, err := buildStore(reads, sigs, opt)
-		if err != nil {
-			return nil, err
-		}
-		view, err := store.View(opt.Estimator)
-		if err != nil {
-			return nil, err
-		}
-		src = view
+	// As in Run, the matrix rows read borrowed store rows.
+	store, err := buildStore(reads, sigs, opt)
+	if err != nil {
+		return nil, err
+	}
+	src, err := store.View(minhash.SetOverlap)
+	if err != nil {
+		return nil, err
 	}
 	m, simOut, err := similarityJob(engine, src, opt)
 	if err != nil {
@@ -97,7 +93,7 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 
 // PickRepresentatives sketches the reads with the run's parameters and
 // returns clusterID -> representative read index (the medoid under the
-// configured estimator) — the pre-processing reduction the paper's
+// set-overlap estimator) — the pre-processing reduction the paper's
 // introduction motivates (analyze representatives, not every read).
 func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Options) (map[int]int, error) {
 	opt = opt.withDefaults()
@@ -118,5 +114,5 @@ func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Op
 	if err != nil {
 		return nil, err
 	}
-	return cluster.Representatives(labels, sigs, opt.Estimator)
+	return cluster.Representatives(labels, sigs, minhash.SetOverlap)
 }

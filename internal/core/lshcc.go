@@ -9,6 +9,7 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
+	"github.com/metagenomics/mrmcminh/internal/sigstore"
 )
 
 // The LSH+CC clustering path (Options.Candidate == CandidateLSH). Instead
@@ -50,10 +51,10 @@ func pairKey(i, j int) string { return fmt.Sprintf("%012d:%012d", i, j) }
 
 // lshEdgesJobs runs candidate generation and verification as two chained
 // MapReduce jobs and returns the verified θ-edges, sorted. Signatures are
-// read through the source — band hashes and pair similarities come off
-// borrowed store rows (or prepared slices on the legacy path) without
-// materializing any per-task signature copies.
-func lshEdgesJobs(engine *mapreduce.Engine, src sigSource, opt Options) ([]cluster.Edge, []*mapreduce.Result, error) {
+// read through the store view — band hashes and pair similarities come
+// off borrowed store rows without materializing any per-task signature
+// copies.
+func lshEdgesJobs(engine *mapreduce.Engine, src *sigstore.View, opt Options) ([]cluster.Edge, []*mapreduce.Result, error) {
 	lsh := lshGeometry(opt)
 	cap := lshBucketCap(opt)
 
@@ -167,7 +168,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src sigSource, opt Options) ([]clust
 // each connected component (components are grouped in the shuffle, members
 // arrive as values) and returns each read's (component, local label)
 // resolved to a global label by first appearance in read order.
-func lshFinishJob(engine *mapreduce.Engine, src sigSource, comps []int, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
+func lshFinishJob(engine *mapreduce.Engine, src *sigstore.View, comps []int, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
 	n := src.Len()
 	records := make([]mapreduce.KeyValue, n)
 	for i := range records {
@@ -202,13 +203,13 @@ func lshFinishJob(engine *mapreduce.Engine, src sigSource, comps []int, opt Opti
 				// Restrict the source to the component — an index remap, no
 				// signature copies — and run the exact algorithm over it.
 				// GreedySource/HierarchicalFromSource over a subset are
-				// pinned bit-identical to the copied-slice legacy path by
-				// the cluster equivalence tests.
+				// pinned bit-identical to clustering the copied-out
+				// signatures by the cluster equivalence tests.
 				sub := cluster.Subset(src, members)
 				var err error
 				switch opt.Mode {
 				case GreedyMode:
-					labels, err = cluster.GreedySource(sub, cluster.GreedyOptions{Threshold: opt.Theta, Estimator: opt.Estimator})
+					labels, err = cluster.GreedySource(sub, cluster.GreedyOptions{Threshold: opt.Theta})
 				case HierarchicalMode:
 					labels, err = cluster.HierarchicalFromSource(sub, opt.Linkage, opt.Theta)
 				}
@@ -256,11 +257,11 @@ func lshFinishJob(engine *mapreduce.Engine, src sigSource, comps []int, opt Opti
 // clusterLSHCC drives the LSH candidate stage, connected components and
 // the per-component finish, threading each stage through the checkpoint
 // runner exactly like the exact path's stages.
-func clusterLSHCC(engine *mapreduce.Engine, src sigSource, sigsHash string, opt Options, res *Result, ck *ckptRunner, addJob func(*mapreduce.Result)) error {
+func clusterLSHCC(engine *mapreduce.Engine, src *sigstore.View, sigsHash string, opt Options, res *Result, ck *ckptRunner, addJob func(*mapreduce.Result)) error {
 	lsh := lshGeometry(opt)
 	edgeParams := map[string]string{
 		"theta":      fmt.Sprint(opt.Theta),
-		"estimator":  fmt.Sprint(int(opt.Estimator)),
+		"estimator":  estimatorParam,
 		"bands":      fmt.Sprint(lsh.Bands),
 		"rows":       fmt.Sprint(lsh.Rows),
 		"bucket_cap": fmt.Sprint(lshBucketCap(opt)),
@@ -337,7 +338,7 @@ func clusterLSHCC(engine *mapreduce.Engine, src sigSource, sigsHash string, opt 
 		"mode":      fmt.Sprint(int(opt.Mode)),
 		"theta":     fmt.Sprint(opt.Theta),
 		"linkage":   fmt.Sprint(int(opt.Linkage)),
-		"estimator": fmt.Sprint(int(opt.Estimator)),
+		"estimator": estimatorParam,
 	}
 	if data, ok, err := ck.lookup(StageLSHCluster, compsHash, finishParams); err != nil {
 		return err

@@ -100,9 +100,6 @@ type Options struct {
 	Mode Mode
 	// Linkage applies in HierarchicalMode.
 	Linkage cluster.Linkage
-	// Estimator selects the signature similarity estimate; the default is
-	// the paper's set-overlap form.
-	Estimator minhash.Estimator
 	// Canonical folds reverse complements into one k-mer (recommended for
 	// shotgun reads, off for 16S amplicons).
 	Canonical bool
@@ -126,11 +123,10 @@ type Options struct {
 	// dropped from that bucket (counted in lsh.bucket_overflow) — they
 	// stay reachable through their other bands.
 	LSHBucketCap int
-	// StoreBits selects where signatures live between pipeline stages.
-	// 0 (the default): a sharded signature store (internal/sigstore)
-	// holds full 64-bit signatures and every downstream stage borrows
-	// from its arenas — bit-identical to the legacy slice path.
-	// -1: legacy per-run Go slices, kept as the equivalence oracle.
+	// StoreBits selects how the sharded signature store
+	// (internal/sigstore) that every stage after sketching borrows from
+	// holds signatures. 0 (the default): full 64-bit signatures, compared
+	// with the paper's set-overlap estimator.
 	// 1..16: the store packs signatures to b bits per slot (b-bit
 	// minwise hashing, Li & König) for an 8–64× smaller resident
 	// footprint; clustering then runs the collision-corrected estimator
@@ -195,9 +191,6 @@ func (o Options) withDefaults() Options {
 	if o.Theta == 0 {
 		o.Theta = 0.9
 	}
-	if o.Estimator == 0 {
-		o.Estimator = minhash.SetOverlap
-	}
 	if o.Cluster.Nodes == 0 {
 		o.Cluster = mapreduce.DefaultCluster
 	}
@@ -222,8 +215,8 @@ func (o Options) Validate() error {
 	if o.Candidate != CandidateExact && o.Candidate != CandidateLSH {
 		return fmt.Errorf("core: invalid candidate generator %d", o.Candidate)
 	}
-	if o.StoreBits < -1 || o.StoreBits > 16 {
-		return fmt.Errorf("core: StoreBits must be -1 (slices), 0 (full store) or 1..16 (packed), got %d", o.StoreBits)
+	if o.StoreBits < 0 || o.StoreBits > 16 {
+		return fmt.Errorf("core: StoreBits must be 0 (full width) or 1..16 (packed), got %d", o.StoreBits)
 	}
 	if o.Candidate == CandidateLSH {
 		if o.Theta <= 0 {
@@ -414,7 +407,6 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		sketchParams["store_bits"] = fmt.Sprint(opt.StoreBits)
 	}
 
-	var sigs []minhash.Signature
 	var store *sigstore.Store
 	var sigBytes []byte // encoded sketch output, when journaling
 	if data, ok, err := ck.lookup(StageSketch, readsHash, sketchParams); err != nil {
@@ -428,55 +420,48 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 				return nil, fmt.Errorf("core: checkpointed store geometry n=%d/b=%d/reads=%d does not match run n=%d/b=%d/reads=%d",
 					store.NumHashes(), store.Bits(), store.Len(), opt.NumHashes, opt.StoreBits, len(reads))
 			}
-		} else if sigs, err = decodeSignatures(data); err != nil {
-			return nil, err
-		}
-		sigBytes = data
-	} else {
-		var mrout *mapreduce.Result
-		if sigs, mrout, err = sketchJob(engine, reads, opt); err != nil {
-			return nil, err
-		}
-		addJob(mrout)
-		if opt.StoreBits > 0 {
+		} else {
+			sigs, err := decodeSignatures(data)
+			if err != nil {
+				return nil, err
+			}
 			if store, err = buildStore(reads, sigs, opt); err != nil {
 				return nil, err
 			}
-			sigs = nil // packed mode never keeps the full signatures resident
-			if opt.Checkpoint != nil {
+		}
+		sigBytes = data
+	} else {
+		sigs, mrout, err := sketchJob(engine, reads, opt)
+		if err != nil {
+			return nil, err
+		}
+		addJob(mrout)
+		if store, err = buildStore(reads, sigs, opt); err != nil {
+			return nil, err
+		}
+		if opt.Checkpoint != nil {
+			// A full-width store checkpoints the signature codec, which
+			// every earlier build wrote too, so their journals still
+			// resume; a packed store checkpoints its snapshot.
+			if opt.StoreBits > 0 {
 				sigBytes = store.Snapshot()
+			} else {
+				sigBytes = encodeSignatures(sigs)
 			}
-		} else if opt.Checkpoint != nil {
-			sigBytes = encodeSignatures(sigs)
 		}
 		if err := ck.commit(StageSketch, readsHash, sketchParams, func() []byte { return sigBytes }); err != nil {
 			return nil, err
 		}
 	}
-	if opt.StoreBits == 0 {
-		// Full-width store: built from the signatures on either path
-		// (fresh sketch or checkpoint restore). Its sketch checkpoint
-		// stays the legacy signature codec, so journals written by the
-		// slice path resume under the store path and vice versa.
-		if store, err = buildStore(reads, sigs, opt); err != nil {
-			return nil, err
-		}
+	src, err := store.View(minhash.SetOverlap)
+	if err != nil {
+		return nil, err
 	}
-	var src sigSource
-	if store != nil {
-		view, err := store.View(opt.Estimator)
-		if err != nil {
-			return nil, err
-		}
-		src = view
-		if res.Counters == nil {
-			res.Counters = make(map[string]int64)
-		}
-		res.Counters["sigstore.resident_bytes"] = store.ResidentBytes()
-		res.Counters["sigstore.reads"] = int64(store.Len())
-	} else {
-		src = cluster.NewSliceSource(sigs, opt.Estimator)
+	if res.Counters == nil {
+		res.Counters = make(map[string]int64)
 	}
+	res.Counters["sigstore.resident_bytes"] = store.ResidentBytes()
+	res.Counters["sigstore.reads"] = int64(store.Len())
 	var sigsHash string
 	if opt.Checkpoint != nil {
 		sigsHash = checkpoint.HashBytes(sigBytes)
@@ -495,7 +480,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 	case GreedyMode:
 		greedyParams := map[string]string{
 			"theta":     fmt.Sprint(opt.Theta),
-			"estimator": fmt.Sprint(int(opt.Estimator)),
+			"estimator": estimatorParam,
 			"use_lsh":   fmt.Sprint(opt.UseLSH),
 		}
 		if data, ok, err := ck.lookup(StageGreedy, sigsHash, greedyParams); err != nil {
@@ -517,7 +502,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		}
 	case HierarchicalMode:
 		simParams := map[string]string{
-			"estimator": fmt.Sprint(int(opt.Estimator)),
+			"estimator": estimatorParam,
 		}
 		var m *cluster.Matrix
 		var matBytes []byte
@@ -619,34 +604,18 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	return sigs, out, nil
 }
 
-// sigSource is the pipeline's view of a signature corpus: the cluster
-// package's SigSource kernel interface plus borrowed payload access for
-// shuffle emission. Satisfied by cluster.SliceSource (legacy,
-// StoreBits == -1) and sigstore.View (store-backed, the default).
-type sigSource interface {
-	cluster.SigSource
-	// Sig returns the borrowed full signature for i (nil on packed
-	// stores).
-	Sig(i int) minhash.Signature
-	// PackedSig returns the borrowed packed signature for i (the zero
-	// value on full-width sources).
-	PackedSig(i int) minhash.BBitSignature
-	// Prepared returns the cached Prepared view for i (the zero value on
-	// packed stores).
-	Prepared(i int) minhash.Prepared
-}
+// estimatorParam is the "estimator" checkpoint param: the pipeline runs
+// the set-overlap estimator, and journals record it by number so that
+// journals written when it was an option still validate.
+var estimatorParam = fmt.Sprint(int(minhash.SetOverlap))
 
 // buildStore ingests a sketched corpus into a sharded signature store.
 // Rows are keyed by read index (PutBatch from dense ID 0), which keeps
-// store-backed runs index-aligned with the legacy path even when a FASTA
-// repeats a read ID; the translator additionally registers each read ID
-// (duplicates resolve to their first occurrence).
+// rows index-aligned with the reads even when a FASTA repeats a read ID;
+// the translator additionally registers each read ID (duplicates resolve
+// to their first occurrence).
 func buildStore(reads []fasta.Record, sigs []minhash.Signature, opt Options) (*sigstore.Store, error) {
-	bits := opt.StoreBits
-	if bits < 0 {
-		bits = 0
-	}
-	st, err := sigstore.New(sigstore.Config{NumHashes: opt.NumHashes, Bits: bits})
+	st, err := sigstore.New(sigstore.Config{NumHashes: opt.NumHashes, Bits: opt.StoreBits})
 	if err != nil {
 		return nil, err
 	}
@@ -664,10 +633,9 @@ func buildStore(reads []fasta.Record, sigs []minhash.Signature, opt Options) (*s
 // greedyJob runs Algorithm 1 inside a single reducer (the paper's GROUP
 // ALL followed by the GreedyClustering UDF). Every read's signature rides
 // the shuffle as a borrowed row — full 64-bit words or b-bit packed,
-// whichever the store holds — and on the store-backed paths the reducer
-// then clusters by borrowing from the store directly instead of
-// materializing the shuffled copies.
-func greedyJob(engine *mapreduce.Engine, src sigSource, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
+// whichever the store holds — and the reducer then clusters by borrowing
+// from the store directly instead of materializing the shuffled copies.
+func greedyJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
 	type indexedSig struct {
 		idx int
 		sig minhash.Signature
@@ -701,23 +669,10 @@ func greedyJob(engine *mapreduce.Engine, src sigSource, opt Options) (metrics.Cl
 			return nil
 		},
 		Reduce: func(_ string, values []any, emit func(mapreduce.KeyValue)) error {
-			gopt := cluster.GreedyOptions{Threshold: opt.Theta, Estimator: opt.Estimator}
+			gopt := cluster.GreedyOptions{Threshold: opt.Theta}
 			var got metrics.Clustering
 			var err error
-			if opt.StoreBits < 0 {
-				// Legacy slice oracle: rebuild the corpus from the shuffled
-				// records, exactly as the pre-store pipeline did.
-				ordered := make([]minhash.Signature, len(values))
-				for _, v := range values {
-					is := v.(indexedSig)
-					ordered[is.idx] = is.sig
-				}
-				if opt.UseLSH {
-					got, err = cluster.GreedyLSH(ordered, gopt, cluster.GeometryFor(opt.NumHashes, opt.Theta))
-				} else {
-					got, err = cluster.Greedy(ordered, gopt)
-				}
-			} else if opt.UseLSH {
+			if opt.UseLSH {
 				got, err = cluster.GreedyLSHSource(src, gopt, cluster.GeometryFor(opt.NumHashes, opt.Theta))
 			} else {
 				got, err = cluster.GreedySource(src, gopt)
@@ -742,16 +697,15 @@ func greedyJob(engine *mapreduce.Engine, src sigSource, opt Options) (metrics.Cl
 // task emits only its row's upper-triangle tail. Full-width set-overlap
 // rows are counted off a postings index the driver builds once
 // (minhash.Postings, bit-identical to the pairwise kernel), with a pooled
-// counter per task; packed stores and the matched-positions estimator
-// read pairs straight off the source.
-func similarityJob(engine *mapreduce.Engine, src sigSource, opt Options) (*cluster.Matrix, *mapreduce.Result, error) {
+// counter per task; packed stores read pairs straight off the source.
+func similarityJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (*cluster.Matrix, *mapreduce.Result, error) {
 	n := src.Len()
 	m, err := cluster.NewMatrix(n)
 	if err != nil {
 		return nil, nil, err
 	}
 	var post *minhash.Postings
-	if opt.StoreBits <= 0 && opt.Estimator == minhash.SetOverlap {
+	if opt.StoreBits == 0 {
 		prep := make([]minhash.Prepared, n)
 		for i := range prep {
 			prep[i] = src.Prepared(i)

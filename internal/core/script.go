@@ -95,9 +95,8 @@ type ScriptOptions struct {
 	// jobs (see mapreduce.Job.ShuffleBufferBytes); 0 keeps the in-memory
 	// shuffle.
 	ShuffleBufferBytes int
-	// StoreBits selects the signature backing of the clustering UDFs
-	// (see Options.StoreBits): 0 store-backed full width (default),
-	// -1 legacy slices, 1..16 b-bit packed.
+	// StoreBits selects the signature store of the clustering UDFs (see
+	// Options.StoreBits): 0 full width (default), 1..16 b-bit packed.
 	StoreBits int
 }
 
@@ -176,8 +175,8 @@ func runScript(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptParams,
 	if rec.Enabled() {
 		fs.SetTrace(rec)
 	}
-	if so.StoreBits < -1 || so.StoreBits > 16 {
-		return nil, fmt.Errorf("core: StoreBits must be -1 (slices), 0 (full store) or 1..16 (packed), got %d", so.StoreBits)
+	if so.StoreBits < 0 || so.StoreBits > 16 {
+		return nil, fmt.Errorf("core: StoreBits must be 0 (full width) or 1..16 (packed), got %d", so.StoreBits)
 	}
 	ctx := &pig.Context{
 		FS:                 fs,

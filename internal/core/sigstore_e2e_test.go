@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -14,12 +15,12 @@ import (
 )
 
 // TestStoreBackedBitIdenticalToSlices pins the store-backed pipeline
-// (StoreBits == 0, the default) bit-identical to the legacy slice path
-// (StoreBits == -1) across modes, the LSH greedy accelerator and both
-// candidate generators, for every chaos seed.
+// (StoreBits == 0, the default) bit-identical to the brute-force
+// references over plain signature slices (oracle_test.go) across modes,
+// the LSH greedy accelerator and both candidate generators, for every
+// chaos seed.
 func TestStoreBackedBitIdenticalToSlices(t *testing.T) {
 	for _, seed := range resumeSeeds(t) {
-		reads, _ := makeReads(4, 6, 200, 0.01, seed)
 		cases := []struct {
 			name string
 			mut  func(*Options)
@@ -30,44 +31,43 @@ func TestStoreBackedBitIdenticalToSlices(t *testing.T) {
 			{"greedy-candlsh", func(o *Options) { o.Mode = GreedyMode; o.Candidate = CandidateLSH }},
 			{"hierarchical-candlsh", func(o *Options) { o.Mode = HierarchicalMode; o.Candidate = CandidateLSH }},
 		}
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, tc.name), func(t *testing.T) {
-				opt := Options{
-					K: 8, NumHashes: 40, Theta: 0.4,
-					Seed: seed, Cluster: smallCluster(),
-				}
-				tc.mut(&opt)
-
-				legacy := opt
-				legacy.StoreBits = -1
-				want, err := Run(reads, legacy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stored := opt
-				stored.StoreBits = 0
-				got, err := Run(reads, stored)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Assignments, want.Assignments) {
-					t.Fatal("store-backed clustering differs from the slice path")
-				}
-				if got.Counters["sigstore.resident_bytes"] != int64(len(reads)*opt.NumHashes*8) {
-					t.Fatalf("sigstore.resident_bytes = %d, want %d",
-						got.Counters["sigstore.resident_bytes"], len(reads)*opt.NumHashes*8)
-				}
-				if got.Counters["sigstore.reads"] != int64(len(reads)) {
-					t.Fatalf("sigstore.reads = %d", got.Counters["sigstore.reads"])
-				}
-			})
+		// The noisy reads put many pairs near θ, where banding misses
+		// some, so the LSH cases differ from the exact ones.
+		for _, set := range []struct {
+			tag     string
+			mutRate float64
+		}{{"", 0.01}, {"noisy-", 0.06}} {
+			reads, _ := makeReads(4, 6, 200, set.mutRate, seed)
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("seed=%d/%s%s", seed, set.tag, tc.name), func(t *testing.T) {
+					opt := Options{
+						K: 8, NumHashes: 40, Theta: 0.4,
+						Seed: seed, Cluster: smallCluster(),
+					}
+					tc.mut(&opt)
+					got, err := Run(reads, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := refRun(t, reads, opt); !reflect.DeepEqual(got.Assignments, want) {
+						t.Fatalf("store-backed clustering %v differs from the reference %v", got.Assignments, want)
+					}
+					if got.Counters["sigstore.resident_bytes"] != int64(len(reads)*opt.NumHashes*8) {
+						t.Fatalf("sigstore.resident_bytes = %d, want %d",
+							got.Counters["sigstore.resident_bytes"], len(reads)*opt.NumHashes*8)
+					}
+					if got.Counters["sigstore.reads"] != int64(len(reads)) {
+						t.Fatalf("sigstore.reads = %d", got.Counters["sigstore.reads"])
+					}
+				})
+			}
 		}
 	}
 }
 
 // TestStoreBackedBitIdenticalUnderChaosAndSpill drives the store-backed
 // default through fault injection and the external spill shuffle at once
-// and requires bit-identity with the clean slice-path run.
+// and requires bit-identity with the brute-force reference.
 func TestStoreBackedBitIdenticalUnderChaosAndSpill(t *testing.T) {
 	reads, _ := makeReads(4, 6, 200, 0.01, 7)
 	for _, mode := range []Mode{GreedyMode, HierarchicalMode} {
@@ -76,14 +76,7 @@ func TestStoreBackedBitIdenticalUnderChaosAndSpill(t *testing.T) {
 				K: 8, NumHashes: 40, Theta: 0.4, Mode: mode,
 				Seed: 7, Cluster: smallCluster(),
 			}
-			legacy := opt
-			legacy.StoreBits = -1
-			want, err := Run(reads, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
 			chaos := opt
-			chaos.StoreBits = 0
 			chaos.ShuffleBufferBytes = 256 // force record-at-a-time spills
 			chaos.Retry = mapreduce.RetryPolicy{MaxAttempts: 4}
 			plan := faults.ChaosPlan(11)
@@ -93,7 +86,7 @@ func TestStoreBackedBitIdenticalUnderChaosAndSpill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Assignments, want.Assignments) {
+			if !reflect.DeepEqual(got.Assignments, refRun(t, reads, opt)) {
 				t.Fatal("chaos + spill over the store changed the clustering")
 			}
 			if chaos.Faults.Injected() == 0 {
@@ -108,10 +101,10 @@ func TestStoreBackedBitIdenticalUnderChaosAndSpill(t *testing.T) {
 	}
 }
 
-// TestStoreBackedResumeInterop proves the sketch checkpoint of the
-// full-width store is the legacy signature codec: a journal written by a
-// slice-path run resumes under the store path bit-identically, and vice
-// versa.
+// TestStoreBackedResumeInterop pins the journal of a full-width run to
+// what every earlier build wrote — the sketch checkpoint is the signature
+// codec of the sketched reads, the greedy entry records estimator=1 — and
+// checks that a crashed run resumes from it bit-identically.
 func TestStoreBackedResumeInterop(t *testing.T) {
 	reads, _ := makeReads(3, 5, 180, 0.01, 3)
 	base := Options{
@@ -122,42 +115,51 @@ func TestStoreBackedResumeInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []struct {
-		name           string
-		first, resumed int
+	dir := t.TempDir()
+	first := base
+	first.Checkpoint = openJournal(t, dir)
+	first.Faults = faults.MustNew(faults.Plan{
+		DriverCrashes: []faults.DriverCrash{{AfterStage: StageGreedy}},
+	})
+	var dce *faults.DriverCrashError
+	if _, err := Run(reads, first); !errors.As(err, &dce) {
+		t.Fatalf("expected driver crash, got %v", err)
+	}
+	journal := openJournal(t, dir)
+	sigBytes := encodeSignatures(refSketch(t, reads, base))
+	for _, stage := range []struct {
+		name, inputs string
+		params       map[string]string
+		want         []byte
 	}{
-		{"legacy-then-store", -1, 0},
-		{"store-then-legacy", 0, -1},
+		{StageSketch, HashReads(reads), map[string]string{"k": "8", "num_hashes": "40", "canonical": "false", "seed": "3"}, sigBytes},
+		{StageGreedy, checkpoint.HashBytes(sigBytes), map[string]string{"theta": "0.4", "estimator": "1", "use_lsh": "false"}, encodeLabels(want.Assignments)},
 	} {
-		t.Run(dir.name, func(t *testing.T) {
-			tmp := t.TempDir()
-			first := base
-			first.StoreBits = dir.first
-			first.Checkpoint = openJournal(t, tmp)
-			first.Faults = faults.MustNew(faults.Plan{
-				DriverCrashes: []faults.DriverCrash{{AfterStage: StageSketch}},
-			})
-			_, err := Run(reads, first)
-			var dce *faults.DriverCrashError
-			if !errors.As(err, &dce) {
-				t.Fatalf("expected driver crash, got %v", err)
-			}
+		e, ok, err := journal.Validate(stage.name, stage.inputs, stage.params)
+		if err != nil || !ok {
+			t.Fatalf("%s entry: ok=%v err=%v", stage.name, ok, err)
+		}
+		data, err := journal.Load(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, stage.want) {
+			t.Fatalf("the %s checkpoint differs from the codec every earlier build wrote", stage.name)
+		}
+	}
 
-			resumed := base
-			resumed.StoreBits = dir.resumed
-			resumed.Checkpoint = openJournal(t, tmp)
-			resumed.Resume = ResumeOn
-			res, err := Run(reads, resumed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.Assignments, want.Assignments) {
-				t.Fatal("cross-backing resume changed the clustering")
-			}
-			if !reflect.DeepEqual(res.SkippedStages, []string{StageSketch}) {
-				t.Fatalf("skipped %v, want [sketch]", res.SkippedStages)
-			}
-		})
+	resumed := base
+	resumed.Checkpoint = journal
+	resumed.Resume = ResumeOn
+	res, err := Run(reads, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Assignments, want.Assignments) {
+		t.Fatal("resume changed the clustering")
+	}
+	if !reflect.DeepEqual(res.SkippedStages, []string{StageSketch, StageGreedy}) {
+		t.Fatalf("skipped %v, want [sketch greedy]", res.SkippedStages)
 	}
 }
 

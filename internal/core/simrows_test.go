@@ -42,55 +42,45 @@ func requireSameMatrix(t *testing.T, name string, got, want *cluster.Matrix) {
 }
 
 // TestSimilarityJobMatchesReferenceMatrix pins the simrows job — the
-// postings row kernel for full-width set overlap, the per-pair loop
-// otherwise — to cluster.SimilarityMatrix's float32 cells on the slice
-// (StoreBits −1) and full-store (0) paths, and to per-pair
-// view.Similarity on a 4-bit packed store.
+// postings row kernel on a full-width store, the per-pair loop on a
+// packed one — to refMatrix's float32 cells at StoreBits 0, and to
+// per-pair view.Similarity on a 4-bit packed store.
 func TestSimilarityJobMatchesReferenceMatrix(t *testing.T) {
 	reads := simrowsReads()
 	for _, k := range []int{3, 8} {
-		for _, est := range []minhash.Estimator{minhash.SetOverlap, minhash.MatchedPositions} {
-			for _, bits := range []int{-1, 0, 4} {
-				name := fmt.Sprintf("k=%d/est=%v/bits=%d", k, est, bits)
-				opt := Options{K: k, NumHashes: 40, StoreBits: bits, Seed: 3, Cluster: smallCluster()}.withDefaults()
-				opt.Estimator = est // withDefaults maps the zero MatchedPositions to SetOverlap
-				engine, err := mapreduce.NewEngine(opt.Cluster)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sigs, _, err := sketchJob(engine, reads, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var src sigSource = cluster.NewSliceSource(sigs, est)
-				var want *cluster.Matrix
-				if bits >= 0 {
-					store, err := buildStore(reads, sigs, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					view, err := store.View(est)
-					if err != nil {
-						t.Fatal(err)
-					}
-					src = view
-				}
-				if bits > 0 {
-					want = cluster.MustMatrix(len(reads))
-					for i := range reads {
-						for j := i + 1; j < len(reads); j++ {
-							want.Set(i, j, src.Similarity(i, j))
-						}
-					}
-				} else {
-					want = cluster.SimilarityMatrix(sigs, est)
-				}
-				got, _, err := similarityJob(engine, src, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameMatrix(t, name, got, want)
+		for _, bits := range []int{0, 4} {
+			name := fmt.Sprintf("k=%d/bits=%d", k, bits)
+			opt := Options{K: k, NumHashes: 40, StoreBits: bits, Seed: 3, Cluster: smallCluster()}.withDefaults()
+			engine, err := mapreduce.NewEngine(opt.Cluster)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sigs, _, err := sketchJob(engine, reads, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := buildStore(reads, sigs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, err := store.View(minhash.SetOverlap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refMatrix(sigs)
+			if bits > 0 {
+				want = cluster.MustMatrix(len(reads))
+				for i := range reads {
+					for j := i + 1; j < len(reads); j++ {
+						want.Set(i, j, view.Similarity(i, j))
+					}
+				}
+			}
+			got, _, err := similarityJob(engine, view, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameMatrix(t, name, got, want)
 		}
 	}
 }

@@ -383,7 +383,7 @@ func agglomerativeClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, er
 
 // greedyClusteringUDF is Algorithm 3 step 9: greedy clustering over the
 // grouped bag of (signature, seqid) tuples, emitting (seqid, clusterlabel).
-// Like LSHClustering it runs on the backing ctx.StoreBits selects.
+// Like LSHClustering it runs on the signature store ctx.StoreBits selects.
 func greedyClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("GreedyClustering expects (bag, numhash, cutoff), got %d args", len(args))
@@ -408,7 +408,7 @@ func greedyClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) 
 	if err != nil {
 		return nil, err
 	}
-	labels, err := cluster.GreedySource(src, cluster.GreedyOptions{Threshold: cutoff, Estimator: minhash.SetOverlap})
+	labels, err := cluster.GreedySource(src, cluster.GreedyOptions{Threshold: cutoff})
 	if err != nil {
 		return nil, err
 	}
@@ -501,7 +501,7 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 			var err error
 			switch mode {
 			case "greedy":
-				labels, err = cluster.GreedySource(sub, cluster.GreedyOptions{Threshold: cutoff, Estimator: minhash.SetOverlap})
+				labels, err = cluster.GreedySource(sub, cluster.GreedyOptions{Threshold: cutoff})
 			case "hierarchical":
 				link, lerr := cluster.ParseLinkage(linkName)
 				if lerr != nil {
@@ -536,17 +536,13 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	return out, nil
 }
 
-// clusterSource routes a UDF's signature bag onto the configured backing:
-// a sharded signature store (ctx.StoreBits >= 0 — 0 full-width, 1..16
-// b-bit packed) whose view the clustering borrows from, or legacy
-// per-call slices (-1).
-func clusterSource(ctx *pig.Context, numhash int, sigs []minhash.Signature) (cluster.SigSource, error) {
+// clusterSource puts a UDF's signature bag into a sharded signature
+// store (ctx.StoreBits: 0 full width, 1..16 b-bit packed) and returns the
+// view the clustering borrows from.
+func clusterSource(ctx *pig.Context, numhash int, sigs []minhash.Signature) (*sigstore.View, error) {
 	bits := 0
 	if ctx != nil {
 		bits = ctx.StoreBits
-	}
-	if bits < 0 {
-		return cluster.NewSliceSource(sigs, minhash.SetOverlap), nil
 	}
 	st, err := sigstore.New(sigstore.Config{NumHashes: numhash, Bits: bits})
 	if err != nil {
@@ -555,71 +551,35 @@ func clusterSource(ctx *pig.Context, numhash int, sigs []minhash.Signature) (clu
 	if err := st.PutBatch(0, sigs); err != nil {
 		return nil, err
 	}
-	view, err := st.View(minhash.SetOverlap)
-	if err != nil {
-		return nil, err
-	}
-	return view, nil
+	return st.View(minhash.SetOverlap)
 }
 
 // lshComponentsSource finds the connected components of the verified
-// θ-edge graph with an in-process banded index and union-find (the
+// θ-edge graph with an in-process cluster.BandIndex and union-find (the
 // UDF-local analogue of the pipeline's bands/verify/CC MapReduce stages).
-// It replicates the BandIndex candidate discipline over the source —
-// per-band buckets in insertion order, generation-stamped dedup — so the
-// edge set matches the slice-based index exactly.
+// Each non-empty read is checked against the reads indexed before it,
+// then indexed itself; empty reads stay out and end as singletons, like
+// the exact path.
 func lshComponentsSource(src cluster.SigSource, numhash int, cutoff float64) ([]int, error) {
-	geo := cluster.GeometryFor(numhash, cutoff)
-	buckets := make([]map[uint64][]int, geo.Bands)
-	for b := range buckets {
-		buckets[b] = make(map[uint64][]int)
+	index, err := cluster.NewBandIndex(src, cluster.GeometryFor(numhash, cutoff))
+	if err != nil {
+		return nil, err
 	}
 	var edges []cluster.Edge
-	var candBuf []int
-	var added []int // band-index id -> read index (empty sigs stay out)
-	var marks []uint32
-	var gen uint32
-	validated := false
+	var cands []int
+	var added []int // index id -> read index
 	for i := 0; i < src.Len(); i++ {
 		if src.Empty(i) {
-			continue // no features: singleton component, like the exact path
+			continue
 		}
-		if !validated {
-			if err := geo.Validate(src.NumHashes()); err != nil {
-				return nil, err
-			}
-			validated = true
-		}
-		gen++
-		if gen == 0 { // generation counter wrapped: invalidate stale marks
-			for k := range marks {
-				marks[k] = 0
-			}
-			gen = 1
-		}
-		candBuf = candBuf[:0]
-		for b := 0; b < geo.Bands; b++ {
-			h := src.BandHash(i, b, geo.Rows)
-			for _, id := range buckets[b][h] {
-				if marks[id] != gen {
-					marks[id] = gen
-					candBuf = append(candBuf, id)
-				}
-			}
-		}
-		for _, cand := range candBuf {
-			j := added[cand]
-			if src.Similarity(j, i) >= cutoff {
+		cands = index.CandidatesInto(i, cands[:0])
+		for _, id := range cands {
+			if j := added[id]; src.Similarity(j, i) >= cutoff {
 				edges = append(edges, cluster.Edge{U: j, V: i})
 			}
 		}
-		id := len(added)
+		index.Add(i)
 		added = append(added, i)
-		marks = append(marks, 0)
-		for b := 0; b < geo.Bands; b++ {
-			h := src.BandHash(i, b, geo.Rows)
-			buckets[b][h] = append(buckets[b][h], id)
-		}
 	}
 	return cluster.ConnectedComponents(src.Len(), edges)
 }

@@ -137,10 +137,10 @@ func TestFastaStorageRejectsRepeatedReadID(t *testing.T) {
 	}
 }
 
-// TestGreedyClusteringHonoursStoreBits: relation L runs on the backing
-// ScriptOptions.StoreBits selects — bit-identical between the full-width
-// store and legacy slices, and equal to GreedySource over a 4-bit store
-// view of the same signatures when packed.
+// TestGreedyClusteringHonoursStoreBits: relation L runs on the store
+// ScriptOptions.StoreBits selects — equal to refGreedy over the grouped
+// signatures at full width, and to GreedySource over a 4-bit store view
+// of the same signatures when packed.
 func TestGreedyClusteringHonoursStoreBits(t *testing.T) {
 	const k, n, theta = 8, 40, 0.5
 	reads, _ := makeReads(4, 6, 150, 0.06, 71)
@@ -164,14 +164,27 @@ func TestGreedyClusteringHonoursStoreBits(t *testing.T) {
 		return out
 	}
 
-	full := render(greedy(0).Aliases["L"])
-	if sliced := render(greedy(-1).Aliases["L"]); !slices.Equal(sliced, full) {
-		t.Fatalf("L differs between the full-width store and slices:\n%v\n%v", full, sliced)
+	// lines renders (id, label) tuples the way relation L prints them.
+	lines := func(ids []string, labels []int) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = pig.FormatValue(pig.NewTuple(id, int64(labels[i])))
+		}
+		return out
+	}
+
+	fullRun := greedy(0)
+	full := render(fullRun.Aliases["L"])
+	sigs, ids, err := bagSignatures("test", fullRun.Aliases["I"].Tuples[0].Fields[1].(pig.Bag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lines(ids, refGreedy(sigs, theta)); !slices.Equal(full, want) {
+		t.Fatalf("full-width L differs from refGreedy:\n%v\n%v", full, want)
 	}
 
 	packed := greedy(4)
-	bag := packed.Aliases["I"].Tuples[0].Fields[1].(pig.Bag)
-	sigs, ids, err := bagSignatures("test", bag)
+	sigs, ids, err = bagSignatures("test", packed.Aliases["I"].Tuples[0].Fields[1].(pig.Bag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +199,12 @@ func TestGreedyClusteringHonoursStoreBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, err := cluster.GreedySource(view, cluster.GreedyOptions{Threshold: theta, Estimator: minhash.SetOverlap})
+	labels, err := cluster.GreedySource(view, cluster.GreedyOptions{Threshold: theta})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]string, len(ids))
-	for i, id := range ids {
-		want[i] = pig.FormatValue(pig.NewTuple(id, int64(labels[i])))
-	}
 	got := render(packed.Aliases["L"])
-	if !slices.Equal(got, want) {
+	if want := lines(ids, labels); !slices.Equal(got, want) {
 		t.Fatalf("4-bit L differs from GreedySource over a 4-bit store view:\n%v\n%v", got, want)
 	}
 	// The input must separate the backings, or the check above could not
@@ -249,5 +258,31 @@ STORE E INTO '/out/e';
 	}
 	if got := strings.TrimSpace(string(stored)); got != strings.Join(store, "\n") {
 		t.Fatalf("STORE E wrote\n%s\nwant\n%s", got, strings.Join(store, "\n"))
+	}
+}
+
+// TestLSHComponentsMatchBruteForce pins the components LSHClustering
+// clusters within to refComponents: θ-edges among the pairs that share a
+// band, empty signatures left alone.
+func TestLSHComponentsMatchBruteForce(t *testing.T) {
+	const n = 40
+	for _, mutRate := range []float64{0.01, 0.06} {
+		reads, _ := makeReads(4, 6, 200, mutRate, 5)
+		reads = append(reads, fasta.Record{ID: "short", Seq: []byte("ACG")})
+		sigs := refSketch(t, reads, Options{K: 8, NumHashes: n, Seed: 5})
+		src, err := clusterSource(nil, n, sigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cutoff := range []float64{0.3, 0.4, 0.6} {
+			comps, err := lshComponentsSource(src, n, cutoff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refComponents(sigs, cutoff, cluster.GeometryFor(n, cutoff))
+			if !samePartition(comps, want) {
+				t.Fatalf("mutation rate %v, cutoff %v: components %v, want %v", mutRate, cutoff, comps, want)
+			}
+		}
 	}
 }

@@ -209,7 +209,7 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 	}
 
 	st.live = &liveSource{est: p.Estimator, bits: p.Bits, numHashes: p.NumHashes}
-	opt := cluster.GreedyOptions{Threshold: p.Theta, Estimator: p.Estimator}
+	opt := cluster.GreedyOptions{Threshold: p.Theta}
 	var geom *cluster.LSHOptions
 	if p.UseLSH {
 		g := cluster.GeometryFor(p.NumHashes, p.Theta)
