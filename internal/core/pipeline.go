@@ -593,13 +593,10 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	if err != nil {
 		return nil, nil, err
 	}
+	// A map-only job's output follows input order: one signature per read.
 	sigs := make([]minhash.Signature, len(reads))
-	for _, kv := range out.Output {
-		var idx int
-		if _, err := fmt.Sscanf(kv.Key, "%d", &idx); err != nil {
-			return nil, nil, err
-		}
-		sigs[idx] = kv.Value.(minhash.Signature)
+	for i, kv := range out.Output {
+		sigs[i] = kv.Value.(minhash.Signature)
 	}
 	return sigs, out, nil
 }

@@ -80,8 +80,10 @@ const (
 	CounterShuffleMergePasses = "shuffle.merge_passes"
 )
 
-// Recovery counter names, maintained by the fault-aware scheduler when an
-// injector is attached (all zero on fault-free runs).
+// Recovery counter names, maintained by the scheduler on every run. A
+// fault-free run logs one attempt per task (task.attempts, and as many
+// commit.committed); the failure and recovery counters stay zero unless
+// an injector is attached.
 const (
 	// CounterTaskAttempts counts every scheduled attempt, retries and
 	// re-executions included.

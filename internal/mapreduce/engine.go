@@ -26,9 +26,9 @@ type Result struct {
 	Real       time.Duration
 	MapTasks   int
 	ReduceTask int
-	// Attempts is the full attempt log of a faulted run (nil when the
-	// engine has no injector): every scheduled attempt with its node,
-	// virtual window and outcome, re-executions included.
+	// Attempts is the job's attempt log: every scheduled attempt with its
+	// node, virtual window and outcome, retries and re-executions
+	// included. A fault-free run logs one successful attempt per task.
 	Attempts []TaskAttempt
 	// Blacklisted lists nodes blacklisted during the job.
 	Blacklisted []int
@@ -48,12 +48,12 @@ type Engine struct {
 	// cluster timeline. A nil recorder costs nothing (all emission is
 	// guarded, and trace methods are nil-safe no-ops).
 	Trace *trace.Recorder
-	// Faults, when non-nil and non-empty, switches virtual scheduling to
-	// the fault-aware simulator: injected task crashes retry with backoff,
-	// planned node deaths kill running attempts and force re-execution of
-	// completed maps, and failing nodes are blacklisted — all per Retry.
-	// Job output is unaffected (recovery is lossless); only the virtual
-	// timeline, counters and trace change.
+	// Faults, when non-nil and non-empty, injects failures into the
+	// virtual schedule: task crashes retry with backoff, planned node
+	// deaths kill running attempts and force re-execution of completed
+	// maps, and failing nodes are blacklisted — all per Retry. Job output
+	// is unaffected (recovery is lossless); only the virtual timeline,
+	// counters and trace change.
 	Faults *faults.Injector
 	// Retry governs attempt budgets, backoff and blacklisting when Faults
 	// is set; the zero value means DefaultRetryPolicy.
@@ -138,31 +138,28 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 
 	// ----- Map phase -----
 	mapOuts := make([][]KeyValue, len(splits)) // per map task output
-	var mapCosts []TaskCost
-	for _, sp := range splits {
-		mapCosts = append(mapCosts, e.Cluster.mapTaskCost(sp, job.MapCostFactor))
+	mapCosts := make([]TaskCost, len(splits))
+	for i, sp := range splits {
+		mapCosts[i] = e.Cluster.mapTaskCost(sp, job.MapCostFactor)
 	}
-	// With an injector attached, the fault simulator replaces the plain
-	// list scheduler. It runs before the real map work so a task that
-	// exhausts its retry budget fails the job up front, as Hadoop would.
-	inj := e.Faults
-	if !inj.Enabled() {
-		inj = nil
+	// The simulator lays out the job's virtual schedule, injected faults
+	// and recovery included. It runs before the real map work so a task
+	// that exhausts its retry budget fails the job up front, as Hadoop
+	// would.
+	numTasks := len(splits)
+	if job.Reduce != nil {
+		numTasks += numRed
 	}
-	var sim *faultSim
-	var simMapTasks []*simTask
-	if inj != nil {
-		sim = newFaultSim(e.Cluster, inj, e.Retry, job.Name, vbase)
-		simMapTasks = sim.newTasks(mapCosts, 0)
-		if err := sim.runPhase(faults.PhaseMap, simMapTasks); err != nil {
+	sim := newFaultSim(e.Cluster, e.Faults, e.Retry, job.Name, vbase, numTasks)
+	mapTasks := newTasks(mapCosts, 0)
+	if err := sim.runPhase(faults.PhaseMap, mapTasks); err != nil {
+		return nil, err
+	}
+	if job.Reduce != nil {
+		// Map output lost to a node death during the map window must be
+		// recomputed before reducers can fetch it.
+		if err := sim.reexecuteMapsLostInMapWindow(mapTasks); err != nil {
 			return nil, err
-		}
-		if job.Reduce != nil {
-			// Map output lost to a node death during the map window must
-			// be recomputed before reducers can fetch it.
-			if err := sim.reexecuteMapsLostInMapWindow(simMapTasks); err != nil {
-				return nil, err
-			}
 		}
 	}
 	// Per-task real durations and combine stats, recorded only when
@@ -239,49 +236,10 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		return nil, err
 	}
 
-	var mapMakespan time.Duration
+	mapMakespan := maxTaskEnd(mapTasks)
 	mapStart := vbase + e.Cluster.Cost.JobStartup
-	if sim == nil {
-		mapPlacements, makespan := e.Cluster.Schedule(mapCosts)
-		mapMakespan = makespan
-		if rec.Enabled() {
-			for _, pl := range mapPlacements {
-				sp := splits[pl.Task]
-				id := rec.Emit(trace.Span{
-					Parent:  jobRef.ID,
-					Kind:    trace.KindMap,
-					Name:    fmt.Sprintf("%s/map[%d]", job.Name, pl.Task),
-					Node:    pl.Node,
-					Records: int64(len(sp.Records)),
-					Bytes:   int64(sp.Bytes),
-					VStart:  mapStart + pl.Start,
-					VDur:    pl.End - pl.Start,
-					RStart:  rec.RealNow(),
-					RDur:    mapReal[pl.Task],
-				})
-				if extOn {
-					e.emitSpills(rec, id, job, spillBufs[pl.Task], pl.Task, pl.Node, mapStart+pl.End)
-				}
-				// On the external path the combiner runs inside each spill,
-				// so its work shows up in the spill spans instead.
-				if job.Combine != nil && !extOn {
-					rec.Emit(trace.Span{
-						Parent:  jobRef.ID,
-						Kind:    trace.KindCombine,
-						Name:    fmt.Sprintf("%s/combine[%d]", job.Name, pl.Task),
-						Node:    pl.Node,
-						Records: combineOut[pl.Task],
-						VStart:  mapStart + pl.End,
-						RDur:    combineReal[pl.Task],
-					})
-				}
-			}
-		}
-	} else {
-		mapMakespan = maxTaskEnd(simMapTasks)
-		if rec.Enabled() {
-			e.emitMapAttempts(rec, jobRef, job, sim, simMapTasks, splits, spillBufs, mapStart, mapReal, combineReal, combineOut)
-		}
+	if rec.Enabled() {
+		e.emitMapAttempts(rec, jobRef, job, sim, mapTasks, splits, spillBufs, mapStart, mapReal, combineReal, combineOut)
 	}
 
 	// Map-only job: concatenate map outputs in input order.
@@ -290,20 +248,8 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		for _, out := range mapOuts {
 			output = append(output, out...)
 		}
-		res := &Result{
-			Output:   output,
-			Counters: counters,
-			Virtual:  e.Cluster.Cost.JobStartup + mapMakespan,
-			Real:     time.Since(start),
-			MapTasks: len(splits),
-		}
-		if sim != nil {
-			sim.recordCounters(counters)
-			res.Attempts = sim.attempts
-			res.Blacklisted = sim.blacklistedNodes()
-		}
-		rec.AdvanceVirtual(res.Virtual)
-		return res, nil
+		res := &Result{Output: output, Counters: counters, MapTasks: len(splits)}
+		return e.finish(res, sim, rec, start), nil
 	}
 
 	// ----- Shuffle -----
@@ -366,28 +312,25 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 
 	// ----- Reduce phase -----
 	reduceOuts := make([][]KeyValue, numRed)
-	var reduceCosts []TaskCost
-	for p := 0; p < numRed; p++ {
+	reduceCosts := make([]TaskCost, numRed)
+	for p := range reduceCosts {
 		var spillIO int64
 		if ext != nil {
 			spillIO = ext.io[p]
 		}
-		reduceCosts = append(reduceCosts, e.Cluster.reduceTaskCost(partRecords[p], shuffleBytes[p], spillIO, job.ReduceCostFactor))
+		reduceCosts[p] = e.Cluster.reduceTaskCost(partRecords[p], shuffleBytes[p], spillIO, job.ReduceCostFactor)
 	}
-	var simReduceTasks []*simTask
-	if sim != nil {
-		// Simulate reduce recovery before the real reduce work so a
-		// reducer that exhausts its retry budget fails the job first.
-		sim.barrier(mapMakespan)
-		simReduceTasks = sim.newTasks(reduceCosts, mapMakespan)
-		if err := sim.runPhase(faults.PhaseReduce, simReduceTasks); err != nil {
-			return nil, err
-		}
-		// Nodes dying during the shuffle lose completed map output; Hadoop
-		// re-executes those maps and reruns the fetching reducers.
-		if err := sim.reexecuteMapsLostInShuffle(simMapTasks, simReduceTasks, shuffleBytes); err != nil {
-			return nil, err
-		}
+	// Schedule the reduce phase before the real reduce work so a reducer
+	// that exhausts its retry budget fails the job first.
+	sim.barrier(mapMakespan)
+	reduceTasks := newTasks(reduceCosts, mapMakespan)
+	if err := sim.runPhase(faults.PhaseReduce, reduceTasks); err != nil {
+		return nil, err
+	}
+	// Nodes dying during the shuffle lose completed map output; Hadoop
+	// re-executes those maps and reruns the fetching reducers.
+	if err := sim.reexecuteMapsLostInShuffle(mapTasks, reduceTasks, shuffleBytes); err != nil {
+		return nil, err
 	}
 	var reduceReal []time.Duration
 	if rec.Enabled() {
@@ -444,40 +387,29 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		return nil, err
 	}
 
-	var reduceMakespan time.Duration
-	if sim == nil {
-		reducePlacements, makespan := e.Cluster.Schedule(reduceCosts)
-		reduceMakespan = makespan
-		if rec.Enabled() {
-			reduceStart := mapStart + mapMakespan
-			e.emitReducePlacements(rec, jobRef, job, reducePlacements, partRecords, shuffleBytes, ext, reduceStart, reduceReal)
-		}
-	} else if rec.Enabled() {
-		e.emitReduceAttempts(rec, jobRef, job, sim, simReduceTasks, partRecords, shuffleBytes, ext, mapStart, reduceReal)
+	if rec.Enabled() {
+		e.emitReduceAttempts(rec, jobRef, job, sim, reduceTasks, partRecords, shuffleBytes, ext, mapStart, reduceReal)
 	}
 
 	var output []KeyValue
 	for _, out := range reduceOuts {
 		output = append(output, out...)
 	}
-	res := &Result{
-		Output:     output,
-		Counters:   counters,
-		Virtual:    e.Cluster.Cost.JobStartup + mapMakespan + reduceMakespan,
-		Real:       time.Since(start),
-		MapTasks:   len(splits),
-		ReduceTask: numRed,
-	}
-	if sim != nil {
-		// The simulated timeline already contains the reduce phase (and
-		// any re-executions), so the job's virtual span is its makespan.
-		res.Virtual = e.Cluster.Cost.JobStartup + sim.makespan()
-		sim.recordCounters(counters)
-		res.Attempts = sim.attempts
-		res.Blacklisted = sim.blacklistedNodes()
-	}
+	res := &Result{Output: output, Counters: counters, MapTasks: len(splits), ReduceTask: numRed}
+	return e.finish(res, sim, rec, start), nil
+}
+
+// finish completes a job's result from its simulated schedule: the job's
+// virtual span is startup plus the makespan (which includes any
+// re-executions), and the attempt log and recovery counters come along.
+func (e *Engine) finish(res *Result, sim *faultSim, rec *trace.Recorder, start time.Time) *Result {
+	res.Virtual = e.Cluster.Cost.JobStartup + sim.makespan()
+	res.Real = time.Since(start)
+	sim.recordCounters(res.Counters)
+	res.Attempts = sim.attempts
+	res.Blacklisted = sim.blacklistedNodes()
 	rec.AdvanceVirtual(res.Virtual)
-	return res, nil
+	return res
 }
 
 // extShuffle carries the external shuffle's per-partition state between
@@ -531,63 +463,12 @@ func (e *Engine) emitMerge(rec *trace.Recorder, parent int64, job *Job, ext *ext
 	})
 }
 
-// emitReducePlacements renders the fault-free reduce schedule as trace
-// spans: one reduce span per task with a shuffle child, plus either a
-// sort marker (in-memory path) or a merge child (external path).
-func (e *Engine) emitReducePlacements(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, reducePlacements []TaskPlacement, partRecords []int, shuffleBytes []int, ext *extShuffle, reduceStart time.Duration, reduceReal []time.Duration) {
-	for _, pl := range reducePlacements {
-		p := pl.Task
-		id := rec.Emit(trace.Span{
-			Parent:  jobRef.ID,
-			Kind:    trace.KindReduce,
-			Name:    fmt.Sprintf("%s/reduce[%d]", job.Name, p),
-			Node:    pl.Node,
-			Records: int64(partRecords[p]),
-			Bytes:   int64(shuffleBytes[p]),
-			VStart:  reduceStart + pl.Start,
-			VDur:    pl.End - pl.Start,
-			RStart:  rec.RealNow(),
-			RDur:    reduceReal[p],
-		})
-		// The reduce window models startup, then the shuffle transfer
-		// of this partition's bytes, then sort/merge + reduce compute.
-		// Emit the transfer as a child interval and the sort or merge
-		// after it, mirroring Hadoop's task phases.
-		shufDur := time.Duration(float64(shuffleBytes[p]) * float64(e.Cluster.Cost.ShufflePerByte))
-		if window := pl.End - pl.Start - e.Cluster.Cost.TaskStartup; shufDur > window && window > 0 {
-			shufDur = window
-		}
-		shufStart := reduceStart + pl.Start + e.Cluster.Cost.TaskStartup
-		rec.Emit(trace.Span{
-			Parent: id,
-			Kind:   trace.KindShuffle,
-			Name:   fmt.Sprintf("%s/shuffle[%d]", job.Name, p),
-			Node:   pl.Node,
-			Bytes:  int64(shuffleBytes[p]),
-			VStart: shufStart,
-			VDur:   shufDur,
-		})
-		if ext != nil {
-			e.emitMerge(rec, id, job, ext, p, pl.Node, int64(partRecords[p]), shufStart+shufDur)
-			continue
-		}
-		rec.Emit(trace.Span{
-			Parent:  id,
-			Kind:    trace.KindSort,
-			Name:    fmt.Sprintf("%s/sort[%d]", job.Name, p),
-			Node:    pl.Node,
-			Records: int64(partRecords[p]),
-			VStart:  shufStart + shufDur,
-		})
-	}
-}
-
-// emitMapAttempts renders a faulted map phase: one span per attempt
-// (crashed and killed ones included, with attempt number, status and
-// reason) and combine spans for the attempts whose output survived. Real
-// durations attach to final attempts only — that is the execution that
-// actually ran on this machine.
-func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, splits []InputSplit, spillBufs []*mapSpillBuffer, mapStart time.Duration, mapReal, combineReal []time.Duration, combineOut []int64) {
+// emitMapAttempts renders the map phase: one span per attempt (crashed
+// and killed ones included, with attempt number, status and reason) and
+// combine spans for the attempts whose output survived. Real durations
+// attach to final attempts only — that is the execution that actually ran
+// on this machine.
+func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []simTask, splits []InputSplit, spillBufs []*mapSpillBuffer, mapStart time.Duration, mapReal, combineReal []time.Duration, combineOut []int64) {
 	for i, a := range sim.attempts {
 		if a.Phase != faults.PhaseMap {
 			continue
@@ -630,10 +511,10 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 	}
 }
 
-// emitReduceAttempts renders a faulted reduce phase: every attempt as a
-// span, with shuffle plus sort (in-memory) or merge (external) children
-// on the surviving attempts.
-func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, partRecords []int, shuffleBytes []int, ext *extShuffle, mapStart time.Duration, reduceReal []time.Duration) {
+// emitReduceAttempts renders the reduce phase: every attempt as a span,
+// with shuffle plus sort (in-memory) or merge (external) children on the
+// surviving attempts.
+func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []simTask, partRecords []int, shuffleBytes []int, ext *extShuffle, mapStart time.Duration, reduceReal []time.Duration) {
 	for i, a := range sim.attempts {
 		if a.Phase != faults.PhaseReduce {
 			continue

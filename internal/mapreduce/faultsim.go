@@ -1,24 +1,28 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/faults"
 )
 
-// Fault-aware virtual scheduling. When an Engine carries a faults.Injector
-// the per-phase list scheduler in costmodel.go is replaced by this
-// simulator, which models Hadoop's recovery machinery on the virtual
-// clock: task attempts crash and retry with exponential backoff, nodes
-// die at planned virtual times (killing their running attempts), nodes
-// accumulating too many failures are blacklisted, and completed map tasks
-// whose node dies before the shuffle drains are re-executed — Hadoop's
-// most distinctive recovery rule. Everything is deterministic: decisions
-// come from the seeded injector and scheduling is a pure function of the
-// task costs, so a faulted run yields bit-identical job output (recovery
-// is lossless) at a larger virtual makespan.
+// Virtual scheduling. Every job runs on this simulator, which is Hadoop's
+// wave scheduling on the virtual clock: each pending task, longest first,
+// takes the slot that frees up first. With a faults.Injector attached it
+// also models Hadoop's recovery machinery: task attempts crash and retry
+// with exponential backoff, nodes die at planned virtual times (killing
+// their running attempts), nodes accumulating too many failures are
+// blacklisted, and completed map tasks whose node dies before the shuffle
+// drains are re-executed — Hadoop's most distinctive recovery rule.
+// Everything is deterministic: decisions come from the seeded injector
+// and scheduling is a pure function of the task costs, so a faulted run
+// yields bit-identical job output (recovery is lossless) at a larger
+// virtual makespan. With no injector (or an empty plan) every attempt
+// succeeds once and the schedule is the plain fault-free one.
 
 // neverDies marks a node with no planned death.
 const neverDies = time.Duration(math.MaxInt64)
@@ -36,8 +40,8 @@ type simTask struct {
 	final   int           // index into faultSim.attempts of the final attempt
 }
 
-// faultSim schedules one job's phases under fault injection. One value is
-// used per Run call; it is driven from a single goroutine.
+// faultSim schedules one job's phases. One value is used per Run call; it
+// is driven from a single goroutine.
 type faultSim struct {
 	c       Cluster
 	inj     *faults.Injector
@@ -55,15 +59,16 @@ type faultSim struct {
 	speculative int // backup attempts launched for modelled stragglers
 }
 
-// newFaultSim builds the simulator for a job starting at global virtual
-// time vbase (death times in the plan are on the global clock; the job's
-// task timeline starts after JobStartup).
-func newFaultSim(c Cluster, inj *faults.Injector, pol RetryPolicy, jobName string, vbase time.Duration) *faultSim {
+// newFaultSim builds the simulator for a job of numTasks tasks starting
+// at global virtual time vbase (death times in the plan are on the global
+// clock; the job's task timeline starts after JobStartup). inj may be nil.
+func newFaultSim(c Cluster, inj *faults.Injector, pol RetryPolicy, jobName string, vbase time.Duration, numTasks int) *faultSim {
 	s := &faultSim{
 		c:           c,
 		inj:         inj,
 		pol:         pol.withDefaults(),
 		jobName:     jobName,
+		attempts:    make([]TaskAttempt, 0, numTasks),
 		slotFree:    make([]time.Duration, c.TotalSlots()),
 		deadAt:      make([]time.Duration, c.Nodes),
 		blacklisted: make([]bool, c.Nodes),
@@ -83,16 +88,16 @@ func newFaultSim(c Cluster, inj *faults.Injector, pol RetryPolicy, jobName strin
 }
 
 // newTasks wraps phase costs as recovery state, ready at startAt.
-func (s *faultSim) newTasks(costs []TaskCost, startAt time.Duration) []*simTask {
-	tasks := make([]*simTask, len(costs))
+func newTasks(costs []TaskCost, startAt time.Duration) []simTask {
+	tasks := make([]simTask, len(costs))
 	for i, c := range costs {
-		tasks[i] = &simTask{id: i, cost: c, readyAt: startAt, node: -1, final: -1}
+		tasks[i] = simTask{id: i, cost: c, readyAt: startAt, node: -1, final: -1}
 	}
 	return tasks
 }
 
-// barrier holds every slot until t — the map→reduce phase boundary, as in
-// the fault-free scheduler where reduces start at the map makespan.
+// barrier holds every slot until t — the map→reduce phase boundary:
+// reduces start at the map makespan.
 func (s *faultSim) barrier(t time.Duration) {
 	for i := range s.slotFree {
 		if s.slotFree[i] < t {
@@ -101,16 +106,30 @@ func (s *faultSim) barrier(t time.Duration) {
 	}
 }
 
-// runPhase schedules every pending task of one phase to completion,
-// injecting crashes and node deaths, until all succeed or one exhausts
-// its retry budget (a *TaskFailedError, which fails the job).
-func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
+// schedOrder is the order pending tasks are placed in: earliest ready,
+// ties longest-processing-time first (which stabilizes the makespan across
+// input permutations), then task id.
+func schedOrder(a, b *simTask) int {
+	if c := cmp.Compare(a.readyAt, b.readyAt); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.cost.Duration, a.cost.Duration); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// runPhase schedules every task of one phase that is not done to
+// completion, injecting crashes and node deaths, until all succeed or one
+// exhausts its retry budget (a *TaskFailedError, which fails the job).
+func (s *faultSim) runPhase(phase string, tasks []simTask) error {
 	pending := make([]*simTask, 0, len(tasks))
-	for _, t := range tasks {
-		if !t.done {
-			pending = append(pending, t)
+	for i := range tasks {
+		if !tasks[i].done {
+			pending = append(pending, &tasks[i])
 		}
 	}
+	slices.SortFunc(pending, schedOrder)
 	// Safety valve: attempts are bounded by the retry budget plus one kill
 	// per planned death, but guard against scheduler bugs looping forever.
 	maxTotal := len(pending)*(s.pol.MaxAttempts+len(s.inj.NodeDeaths())+2) + 16
@@ -118,25 +137,7 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 		if placed > maxTotal {
 			return fmt.Errorf("mapreduce: fault simulator exceeded %d attempts in job %q %s phase", maxTotal, s.jobName, phase)
 		}
-		// Next task: earliest ready; ties longest-processing-time, then id
-		// (matching the fault-free scheduler's LPT order).
-		best := 0
-		for i := 1; i < len(pending); i++ {
-			a, b := pending[i], pending[best]
-			switch {
-			case a.readyAt != b.readyAt:
-				if a.readyAt < b.readyAt {
-					best = i
-				}
-			case a.cost.Duration != b.cost.Duration:
-				if a.cost.Duration > b.cost.Duration {
-					best = i
-				}
-			case a.id < b.id:
-				best = i
-			}
-		}
-		t := pending[best]
+		t := pending[0]
 		att, idx, err := s.place(phase, t)
 		if err != nil {
 			return err
@@ -147,7 +148,8 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 			t.end = att.End
 			t.node = att.Node
 			t.final = idx
-			pending = append(pending[:best], pending[best+1:]...)
+			pending = pending[1:]
+			continue
 		case AttemptCrashed:
 			if t.crashes >= s.pol.MaxAttempts {
 				return &TaskFailedError{
@@ -166,6 +168,10 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 			// Node loss is not the task's fault: retry immediately.
 			t.readyAt = att.End
 		}
+		// Requeue the retry: readyAt only grows, so t moves back.
+		i, _ := slices.BinarySearchFunc(pending[1:], t, schedOrder)
+		copy(pending, pending[1:i+1])
+		pending[i] = t
 	}
 	return nil
 }
@@ -192,12 +198,6 @@ func (s *faultSim) place(phase string, t *simTask) (TaskAttempt, int, error) {
 		}
 		if bestSlot < 0 || start < bestStart {
 			bestSlot, bestStart = slot, start
-			continue
-		}
-		if start == bestStart &&
-			s.c.slotPreferred(slot, t.cost.PreferredHosts) &&
-			!s.c.slotPreferred(bestSlot, t.cost.PreferredHosts) {
-			bestSlot = slot
 		}
 	}
 	if bestSlot < 0 {
@@ -209,12 +209,9 @@ func (s *faultSim) place(phase string, t *simTask) (TaskAttempt, int, error) {
 	node := bestSlot / s.c.SlotsPerNode
 	t.attempt++
 
-	// Nominal duration: straggler model (shared with the fault-free
-	// scheduler) dilated by the injector's slow-node factor.
+	// Nominal duration: the cost model's straggler model dilated by the
+	// injector's slow-node factor.
 	dur := time.Duration(float64(s.c.effectiveDuration(t.id, t.cost.Duration)) * s.inj.SlowFactor(node))
-	if dur < time.Millisecond {
-		dur = time.Millisecond
-	}
 	crash, failPt := s.inj.CrashAttempt(s.jobName, phase, t.id, t.attempt, t.crashes)
 	att := TaskAttempt{
 		Phase: phase, Task: t.id, Attempt: t.attempt,
@@ -274,9 +271,6 @@ func (s *faultSim) place(phase string, t *simTask) (TaskAttempt, int, error) {
 func (s *faultSim) placeBackup(phase string, t *simTask, primaryIdx int) (int, bool) {
 	prim := s.attempts[primaryIdx]
 	nominal := s.c.effectiveDuration(t.id, t.cost.Duration)
-	if nominal < time.Millisecond {
-		nominal = time.Millisecond
-	}
 	detect := prim.Start + nominal
 	if detect >= prim.End {
 		return 0, false // primary finishes before the straggler is flagged
@@ -305,9 +299,6 @@ func (s *faultSim) placeBackup(phase string, t *simTask, primaryIdx int) (int, b
 	bnode := bestSlot / s.c.SlotsPerNode
 	t.attempt++
 	bdur := time.Duration(float64(nominal) * s.inj.SlowFactor(bnode))
-	if bdur < time.Millisecond {
-		bdur = time.Millisecond
-	}
 	batt := TaskAttempt{
 		Phase: phase, Task: t.id, Attempt: t.attempt,
 		Node: bnode, Slot: bestSlot,
@@ -362,10 +353,10 @@ func (s *faultSim) usableNodesExcept(skip int, now time.Duration) int {
 // node died have lost their intermediate output (it lives on local disk,
 // not the DFS) and must re-run. Sweeps until no completed map sits on a
 // node that died after it finished, extending the map makespan.
-func (s *faultSim) reexecuteMapsLostInMapWindow(mapTasks []*simTask) error {
+func (s *faultSim) reexecuteMapsLostInMapWindow(mapTasks []simTask) error {
 	for {
 		mapEnd := maxTaskEnd(mapTasks)
-		var redo []*simTask
+		redo := 0
 		for _, d := range s.inj.NodeDeaths() {
 			if d.Node >= s.c.Nodes {
 				continue
@@ -374,19 +365,19 @@ func (s *faultSim) reexecuteMapsLostInMapWindow(mapTasks []*simTask) error {
 			if rel > mapEnd {
 				continue // reduce-window death: handled against the shuffle drain
 			}
-			for _, t := range mapTasks {
-				if t.done && t.node == d.Node && t.end <= rel {
+			for i := range mapTasks {
+				if t := &mapTasks[i]; t.done && t.node == d.Node && t.end <= rel {
 					t.done = false
 					t.readyAt = rel
-					redo = append(redo, t)
+					redo++
 				}
 			}
 		}
-		if len(redo) == 0 {
+		if redo == 0 {
 			return nil
 		}
-		s.reexecuted += len(redo)
-		if err := s.runPhase(faults.PhaseMap, redo); err != nil {
+		s.reexecuted += redo
+		if err := s.runPhase(faults.PhaseMap, mapTasks); err != nil {
 			return err
 		}
 	}
@@ -411,7 +402,7 @@ func (s *faultSim) shuffleWindow(att TaskAttempt, shuffleBytes int) (time.Durati
 // started before the re-executed output was back — are killed and rerun
 // once the output is available. Deaths are processed in time order so a
 // later death sees the repaired schedule.
-func (s *faultSim) reexecuteMapsLostInShuffle(mapTasks, reduceTasks []*simTask, shuffleBytes []int) error {
+func (s *faultSim) reexecuteMapsLostInShuffle(mapTasks, reduceTasks []simTask, shuffleBytes []int) error {
 	for _, d := range s.inj.NodeDeaths() {
 		if d.Node >= s.c.Nodes {
 			continue
@@ -422,8 +413,8 @@ func (s *faultSim) reexecuteMapsLostInShuffle(mapTasks, reduceTasks []*simTask, 
 			continue // map-window death: already handled
 		}
 		var lost []*simTask
-		for _, t := range mapTasks {
-			if t.done && t.node == d.Node && t.end <= rel {
+		for i := range mapTasks {
+			if t := &mapTasks[i]; t.done && t.node == d.Node && t.end <= rel {
 				lost = append(lost, t)
 			}
 		}
@@ -450,13 +441,16 @@ func (s *faultSim) reexecuteMapsLostInShuffle(mapTasks, reduceTasks []*simTask, 
 			t.readyAt = rel
 		}
 		s.reexecuted += len(lost)
-		if err := s.runPhase(faults.PhaseMap, lost); err != nil {
+		if err := s.runPhase(faults.PhaseMap, mapTasks); err != nil {
 			return err
 		}
-		reexecEnd := maxTaskEnd(lost)
+		var reexecEnd time.Duration
+		for _, t := range lost {
+			reexecEnd = max(reexecEnd, t.end)
+		}
 		// Reducers that needed the lost output rerun after it is back.
-		var redo []*simTask
-		for _, r := range reduceTasks {
+		for i := range reduceTasks {
+			r := &reduceTasks[i]
 			if r.final < 0 {
 				continue
 			}
@@ -477,9 +471,8 @@ func (s *faultSim) reexecuteMapsLostInShuffle(mapTasks, reduceTasks []*simTask, 
 			r.done = false
 			r.final = -1
 			r.readyAt = reexecEnd
-			redo = append(redo, r)
 		}
-		if err := s.runPhase(faults.PhaseReduce, redo); err != nil {
+		if err := s.runPhase(faults.PhaseReduce, reduceTasks); err != nil {
 			return err
 		}
 	}
@@ -535,7 +528,7 @@ func (s *faultSim) blacklistedNodes() []int {
 }
 
 // maxTaskEnd is the latest completion among done tasks.
-func maxTaskEnd(tasks []*simTask) time.Duration {
+func maxTaskEnd(tasks []simTask) time.Duration {
 	var end time.Duration
 	for _, t := range tasks {
 		if t.done && t.end > end {

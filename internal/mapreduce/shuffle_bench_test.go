@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -68,21 +67,7 @@ func benchPartition(n int) []KeyValue {
 	return recs
 }
 
-// BenchmarkPartitionSortSliceStable is the reducer sort the engine shipped
-// with: reflection-based sort.SliceStable. Kept as the baseline for the
-// slices.SortStableFunc migration below (see BENCH_shuffle.json).
-func BenchmarkPartitionSortSliceStable(b *testing.B) {
-	recs := benchPartition(8192)
-	scratch := make([]KeyValue, len(recs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, recs)
-		sort.SliceStable(scratch, func(i, j int) bool { return scratch[i].Key < scratch[j].Key })
-	}
-}
-
-// BenchmarkPartitionSortStableFunc is the current reducer sort: generic
+// BenchmarkPartitionSortStableFunc is the reducer sort: generic
 // slices.SortStableFunc with a strings.Compare comparator.
 func BenchmarkPartitionSortStableFunc(b *testing.B) {
 	recs := benchPartition(8192)

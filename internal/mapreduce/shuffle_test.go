@@ -325,11 +325,6 @@ func TestPlanMergeSchedule(t *testing.T) {
 // reflective fallback that replaced the old flat 8-byte guess.
 type signature []uint64
 
-// sizedPayload pins its own serialized size via the Sizer interface.
-type sizedPayload struct{ weight int }
-
-func (p sizedPayload) SizeBytes() int { return p.weight }
-
 // payloadJob emits n records of one struct-typed value per key "k<i>".
 func payloadJob(n int, value any) *Job {
 	recs := make([]KeyValue, n)
@@ -376,26 +371,5 @@ func TestShuffleBytesScaleWithStructPayload(t *testing.T) {
 	ws := run(wrapped{ID: 1, Sig: make(signature, 400)})
 	if ws <= small {
 		t.Fatalf("struct-wrapped payload undersized: %d vs %d", ws, small)
-	}
-}
-
-func TestSizerOverridesEstimate(t *testing.T) {
-	res, err := MustEngine(chaosCluster).Run(payloadJob(1, sizedPayload{weight: 4096}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One record, key "k0": shuffle bytes are exactly key + SizeBytes.
-	if got := res.Counters.Get(CounterShuffleBytes); got != int64(len("k0")+4096) {
-		t.Fatalf("shuffle.bytes = %d, want %d", got, len("k0")+4096)
-	}
-	// The Sizer-backed spill buffer must overflow accordingly.
-	job := payloadJob(4, sizedPayload{weight: 4096})
-	job.ShuffleBufferBytes = 8192
-	spilled, err := MustEngine(chaosCluster).Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := spilled.Counters.Get(CounterShuffleSpills); got == 0 {
-		t.Fatal("Sizer payloads did not trip the spill threshold")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
@@ -175,43 +176,52 @@ func TestEngineUntracedUnchanged(t *testing.T) {
 	}
 }
 
-// TestScheduleMatchesMakespan pins the Schedule/Makespan refactor: the
-// placements' latest End equals the reported makespan, placements cover
-// every task exactly once, and no slot runs two tasks at once.
+// TestScheduleMatchesMakespan pins the schedule behind Cluster.Makespan:
+// the attempts' latest End equals the reported makespan, the attempts
+// cover every task exactly once, and no slot runs two tasks at once.
 func TestScheduleMatchesMakespan(t *testing.T) {
 	c := Cluster{Nodes: 3, SlotsPerNode: 2, Cost: DefaultCostModel}
 	var tasks []TaskCost
 	for i := 0; i < 17; i++ {
-		tasks = append(tasks, TaskCost{Duration: time.Duration(i%5+1) * time.Second, PreferredHosts: []int{i % 3}})
+		tasks = append(tasks, TaskCost{Duration: time.Duration(i%5+1) * time.Second})
 	}
-	placements, makespan := c.Schedule(tasks)
+	sim := newFaultSim(c, nil, RetryPolicy{}, "schedule", 0, len(tasks))
+	if err := sim.runPhase(faults.PhaseMap, newTasks(tasks, 0)); err != nil {
+		t.Fatal(err)
+	}
+	makespan := sim.makespan()
 	if got := c.Makespan(tasks); got != makespan {
-		t.Fatalf("Makespan = %v, Schedule makespan = %v", got, makespan)
+		t.Fatalf("Makespan = %v, schedule makespan = %v", got, makespan)
 	}
-	if len(placements) != len(tasks) {
-		t.Fatalf("got %d placements, want %d", len(placements), len(tasks))
+	if len(sim.attempts) != len(tasks) {
+		t.Fatalf("got %d attempts, want %d", len(sim.attempts), len(tasks))
 	}
 	var latest time.Duration
-	perSlot := map[int][]TaskPlacement{}
-	for i, pl := range placements {
-		if pl.Task != i {
-			t.Fatalf("placement %d has Task %d (want index order)", i, pl.Task)
+	seen := make([]bool, len(tasks))
+	perSlot := map[int][]TaskAttempt{}
+	for _, a := range sim.attempts {
+		if a.Outcome != AttemptSuccess || a.Attempt != 1 {
+			t.Fatalf("fault-free attempt %+v", a)
 		}
-		if pl.End > latest {
-			latest = pl.End
+		if seen[a.Task] {
+			t.Fatalf("task %d scheduled twice", a.Task)
 		}
-		if pl.Node != pl.Slot/c.SlotsPerNode {
-			t.Fatalf("placement node %d inconsistent with slot %d", pl.Node, pl.Slot)
+		seen[a.Task] = true
+		if a.End > latest {
+			latest = a.End
 		}
-		perSlot[pl.Slot] = append(perSlot[pl.Slot], pl)
+		if a.Node != a.Slot/c.SlotsPerNode {
+			t.Fatalf("attempt node %d inconsistent with slot %d", a.Node, a.Slot)
+		}
+		perSlot[a.Slot] = append(perSlot[a.Slot], a)
 	}
 	if latest != makespan {
-		t.Fatalf("latest placement end %v != makespan %v", latest, makespan)
+		t.Fatalf("latest attempt end %v != makespan %v", latest, makespan)
 	}
-	for slot, pls := range perSlot {
-		for i := range pls {
-			for j := i + 1; j < len(pls); j++ {
-				a, b := pls[i], pls[j]
+	for slot, as := range perSlot {
+		for i := range as {
+			for j := i + 1; j < len(as); j++ {
+				a, b := as[i], as[j]
 				if a.Start < b.End && b.Start < a.End {
 					t.Fatalf("slot %d runs tasks %d and %d concurrently", slot, a.Task, b.Task)
 				}

@@ -53,9 +53,6 @@ func DefaultPartition(key string, n int) int {
 // InputSplit is one unit of map-task work.
 type InputSplit struct {
 	Records []KeyValue
-	// Hosts are the simulated nodes holding the split's data; the
-	// scheduler prefers running the map task there (data locality).
-	Hosts []int
 	// Bytes approximates the split's on-disk size for the cost model.
 	Bytes int
 }
@@ -98,17 +95,8 @@ func (m MemoryInput) Splits() ([]InputSplit, error) {
 	return splits, nil
 }
 
-// Sizer lets a user value type report its serialized size to the shuffle
-// accounting (split sizing, shuffle.bytes, spill-buffer budgeting).
-// Implement it on heavy custom payloads where the reflective estimate is
-// either wrong or too slow for the emit hot path.
-type Sizer interface {
-	SizeBytes() int
-}
-
 // approxValueBytes estimates serialized size for the cost model. Known
-// concrete types are sized directly; a type implementing Sizer reports
-// itself; anything else (named slice types, structs, tuples) is walked
+// concrete types are sized directly; anything else (named slice types, structs, tuples) is walked
 // reflectively so struct- and slice-valued jobs charge shuffle bytes
 // proportional to their payload instead of a flat constant.
 func approxValueBytes(v any) int {
@@ -125,9 +113,6 @@ func approxValueBytes(v any) int {
 		return 8 * len(x)
 	case int, int64, uint64, float64:
 		return 8
-	}
-	if s, ok := v.(Sizer); ok {
-		return s.SizeBytes()
 	}
 	return reflectValueBytes(reflect.ValueOf(v), maxSizeDepth)
 }
@@ -257,8 +242,8 @@ func (o AttemptOutcome) String() string {
 }
 
 // TaskAttempt is one scheduled attempt on the job's virtual timeline
-// (times are relative to the end of job startup). The full attempt log of
-// a faulted run is exposed on Result for tests and trace export.
+// (times are relative to the end of job startup). The job's full attempt
+// log is exposed on Result for tests and trace export.
 type TaskAttempt struct {
 	// Phase is faults.PhaseMap or faults.PhaseReduce.
 	Phase string

@@ -8,8 +8,7 @@ import (
 
 // bandHashLegacy is the pre-optimization band hash: a fresh fnv.New64a
 // hasher plus an 8-byte scratch buffer per band per signature. Kept as
-// the before/after reference for BenchmarkBandHash and the
-// bit-compatibility test below.
+// the reference for the bit-compatibility test below.
 func bandHashLegacy(sig Signature, band, rows int) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -49,18 +48,6 @@ func TestBandHashMatchesFNV(t *testing.T) {
 			}
 		}
 	}
-}
-
-func BenchmarkBandHashLegacy(b *testing.B) {
-	sig := randomSignatures(1, 100, 3)[0]
-	b.ReportAllocs()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		for band := 0; band < 20; band++ {
-			sink += bandHashLegacy(sig, band, 5)
-		}
-	}
-	_ = sink
 }
 
 func BenchmarkBandHash(b *testing.B) {

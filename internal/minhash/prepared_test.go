@@ -159,17 +159,6 @@ func benchSigPair() (Signature, Signature) {
 	return sk.Sketch(a), sk.Sketch(b)
 }
 
-// BenchmarkSimilaritySetOverlapLegacy is the pre-kernel per-pair cost:
-// both signatures are re-sorted and re-allocated on every call.
-func BenchmarkSimilaritySetOverlapLegacy(b *testing.B) {
-	sa, sb := benchSigPair()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = SetOverlap.Similarity(sa, sb)
-	}
-}
-
 // BenchmarkSimilarityPrepared is the kernel path: signatures prepared
 // once, each pair a single allocation-free merge.
 func BenchmarkSimilarityPrepared(b *testing.B) {
@@ -210,19 +199,6 @@ func benchRead() []byte {
 		seq[i] = "ACGT"[rng.Intn(4)]
 	}
 	return seq
-}
-
-// BenchmarkSketchReadLegacy measures the pipeline's pre-kernel per-read
-// cost: materialize the k-mer set map, then walk it lane by lane.
-func BenchmarkSketchReadLegacy(b *testing.B) {
-	s := MustSketcher(100, 5, 1)
-	ex := kmer.MustExtractor(5)
-	seq := benchRead()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Sketch(ex.Set(seq))
-	}
 }
 
 // BenchmarkSketchReadKernel measures the kernel per-read cost: stream

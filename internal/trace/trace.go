@@ -102,11 +102,11 @@ type Span struct {
 	// Detail carries small freeform context (a DFS path, "local"/"remote",
 	// a fault-injection failure reason).
 	Detail string
-	// Attempt is the 1-based task attempt number on faulted runs (0 when
-	// fault injection is off — the span is the only attempt).
+	// Attempt is the 1-based task attempt number on map, reduce, combine
+	// and sort spans (0 on other spans).
 	Attempt int
-	// Status is the attempt outcome on faulted runs ("success", "crashed",
-	// "killed"; empty means success).
+	// Status is the outcome of a task attempt ("success", "crashed",
+	// "killed") or of a commit/abort; empty means success.
 	Status string
 	// VStart/VDur locate the span on the virtual cluster timeline.
 	VStart time.Duration
