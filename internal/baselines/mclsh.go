@@ -45,6 +45,6 @@ func (MCLSH) Cluster(reads []fasta.Record, opt Options) (metrics.Clustering, err
 	for i := range reads {
 		sigs[i] = sk.Sketch(e.Set(reads[i].Seq))
 	}
-	return cluster.GreedyLSHSource(cluster.NewSliceSource(sigs, minhash.MatchedPositions),
-		cluster.GreedyOptions{Threshold: opt.Threshold}, cluster.LSHOptions{Bands: mclshBands, Rows: mclshRows})
+	return cluster.GreedySource(cluster.NewSliceSource(sigs, minhash.MatchedPositions),
+		cluster.GreedyOptions{Threshold: opt.Threshold, LSH: &cluster.LSHOptions{Bands: mclshBands, Rows: mclshRows}})
 }

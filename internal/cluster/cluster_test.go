@@ -124,15 +124,10 @@ func TestGreedyEmptySignaturesSingletons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Empty signatures have similarity 0 to everything; at θ=0 even 0
-	// passes (>=), but empty reps skip the sweep, so each empty read is
-	// alone unless swept by a non-empty rep — which also fails (sim 0 >= 0
-	// is true)... the non-empty rep comes last, so the empties are reps.
-	if c[0] == c[2] && c[1] == c[2] {
-		t.Fatalf("clusters %v", c)
-	}
-	if c.NumClusters() < 2 {
-		t.Fatalf("clusters %v", c)
+	// Empty signatures are never compared, even at θ=0 where every pair of
+	// non-empty reads matches: each empty read is its own singleton.
+	if want := (metrics.Clustering{0, 1, 2}); !sameClustering(c, want) {
+		t.Fatalf("clusters %v, want %v", c, want)
 	}
 }
 

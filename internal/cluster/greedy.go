@@ -16,6 +16,13 @@ type GreedyOptions struct {
 	// Threshold θ: a sequence joins the current cluster when its estimated
 	// Jaccard similarity to the representative is at least θ.
 	Threshold float64
+	// LSH, when non-nil, is the band geometry (see GeometryFor) of a
+	// BandIndex over the representatives: a read then checks only the
+	// representatives sharing at least one band with it — the MC-LSH
+	// acceleration folded into MrMC-MinH as an optional fast path. Labels
+	// can differ slightly from the exact scan when a qualifying
+	// representative never collides (missed-candidate recall loss).
+	LSH *LSHOptions
 	// Deprecated: ignored. Every clustering function reads similarity
 	// through its SigSource, whose estimator is fixed when the source is
 	// built (NewSliceSource, sigstore.Store.View). The field stays
@@ -31,40 +38,23 @@ func (o GreedyOptions) Validate() error {
 	return nil
 }
 
-// GreedySource runs Algorithm 1 over any signature source: repeatedly
-// take the first unassigned sequence as a new cluster's representative,
-// then sweep all remaining unassigned sequences into the cluster when
-// their similarity to the representative reaches the threshold.
+// GreedySource runs Algorithm 1 over any signature source: the
+// IncrementalSource fed elements 0..N-1 in order. Each sequence joins
+// the lowest-labelled earlier representative whose similarity reaches
+// the threshold, or else becomes a new cluster's representative.
 // Sequences with empty signatures each form their own singleton cluster
-// (they carry no features to compare). On a store view it clusters
-// borrowed signatures without ever materializing them as slices.
+// at every threshold (they carry no features to compare). On a store
+// view it clusters borrowed signatures without ever materializing them
+// as slices.
 func GreedySource(src SigSource, opt GreedyOptions) (metrics.Clustering, error) {
-	if err := opt.Validate(); err != nil {
+	inc, err := NewIncrementalSource(src, opt)
+	if err != nil {
 		return nil, err
 	}
-	n := src.Len()
-	assign := make(metrics.Clustering, n)
+	assign := make(metrics.Clustering, src.Len())
 	for i := range assign {
-		assign[i] = -1
-	}
-	next := 0
-	for first := 0; first < n; first++ {
-		if assign[first] >= 0 {
-			continue
-		}
-		label := next
-		next++
-		assign[first] = label
-		if src.Empty(first) {
-			continue // nothing can match an empty signature
-		}
-		for j := first + 1; j < n; j++ {
-			if assign[j] >= 0 {
-				continue
-			}
-			if src.Similarity(first, j) >= opt.Threshold {
-				assign[j] = label
-			}
+		if assign[i], err = inc.Add(i); err != nil {
+			return nil, err
 		}
 	}
 	return assign, nil

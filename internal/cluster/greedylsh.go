@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-
-	"github.com/metagenomics/mrmcminh/internal/metrics"
 )
 
 // LSHOptions sizes the banding index used to accelerate greedy clustering.
@@ -16,12 +14,14 @@ type LSHOptions struct {
 	Bands, Rows int
 }
 
-// Validate rejects unusable geometry.
+// Validate rejects unusable geometry. A sigLen of 0 — a slice source
+// holding no signature — has no length to check the geometry against;
+// only its positivity is validated.
 func (o LSHOptions) Validate(sigLen int) error {
 	if o.Bands < 1 || o.Rows < 1 {
 		return fmt.Errorf("cluster: LSH bands and rows must be positive (got %d, %d)", o.Bands, o.Rows)
 	}
-	if o.Bands*o.Rows > sigLen {
+	if sigLen > 0 && o.Bands*o.Rows > sigLen {
 		return fmt.Errorf("cluster: LSH needs %d signature slots but only %d available", o.Bands*o.Rows, sigLen)
 	}
 	return nil
@@ -112,37 +112,4 @@ func (ix *BandIndex) CandidatesInto(i int, buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// GreedyLSHSource is Algorithm 1 with a BandIndex over the cluster
-// representatives: instead of scanning every representative, a read
-// checks only the representatives sharing at least one band — the MC-LSH
-// acceleration folded into MrMC-MinH as an optional fast path. Results
-// can differ slightly from exact GreedySource when a qualifying
-// representative never collides (missed-candidate recall loss). It is the
-// online IncrementalSource fed the reads in order.
-func GreedyLSHSource(src SigSource, opt GreedyOptions, lsh LSHOptions) (metrics.Clustering, error) {
-	n := src.Len()
-	if n == 0 {
-		if err := opt.Validate(); err != nil {
-			return nil, err
-		}
-		// An empty source has no signature length to check the geometry
-		// against; only its positivity is validated.
-		if err := lsh.Validate(lsh.Bands * lsh.Rows); err != nil {
-			return nil, err
-		}
-		return metrics.Clustering{}, nil
-	}
-	inc, err := NewIncrementalSource(src, opt, &lsh)
-	if err != nil {
-		return nil, err
-	}
-	assign := make(metrics.Clustering, n)
-	for i := range assign {
-		if assign[i], err = inc.Add(i); err != nil {
-			return nil, err
-		}
-	}
-	return assign, nil
 }

@@ -50,7 +50,8 @@ func TestGreedyLSHMatchesGreedyOnSeparatedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := GreedyLSHSource(src, opt, GeometryFor(len(sigs[0]), 0.5))
+	geo := GeometryFor(len(sigs[0]), 0.5)
+	lsh, err := GreedySource(src, GreedyOptions{Threshold: 0.5, LSH: &geo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +64,18 @@ func TestGreedyLSHMatchesGreedyOnSeparatedGroups(t *testing.T) {
 
 func TestGreedyLSHEmptyInputAndValidation(t *testing.T) {
 	empty := NewSliceSource(nil, minhash.SetOverlap)
-	c, err := GreedyLSHSource(empty, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 2, Rows: 2})
+	c, err := GreedySource(empty, GreedyOptions{Threshold: 0.5, LSH: &LSHOptions{Bands: 2, Rows: 2}})
 	if err != nil || len(c) != 0 {
 		t.Fatalf("c=%v err=%v", c, err)
 	}
-	if _, err := GreedyLSHSource(empty, GreedyOptions{Threshold: 2}, LSHOptions{Bands: 2, Rows: 2}); err == nil {
+	if _, err := GreedySource(empty, GreedyOptions{Threshold: 2, LSH: &LSHOptions{Bands: 2, Rows: 2}}); err == nil {
 		t.Fatal("bad threshold accepted")
 	}
+	if _, err := GreedySource(empty, GreedyOptions{Threshold: 0.5, LSH: &LSHOptions{Bands: 0, Rows: 5}}); err == nil {
+		t.Fatal("zero bands accepted on empty input")
+	}
 	sigs, _ := sketchGroups(t, 1, 3, 42)
-	if _, err := GreedyLSHSource(NewSliceSource(sigs, minhash.SetOverlap), GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 100, Rows: 100}); err == nil {
+	if _, err := GreedySource(NewSliceSource(sigs, minhash.SetOverlap), GreedyOptions{Threshold: 0.5, LSH: &LSHOptions{Bands: 100, Rows: 100}}); err == nil {
 		t.Fatal("oversized geometry accepted")
 	}
 }
@@ -101,7 +105,8 @@ func TestGreedyLSHScalesBetterThanExact(t *testing.T) {
 	}
 	exactTime := time.Since(start)
 	start = time.Now()
-	if _, err := GreedyLSHSource(src, opt, GeometryFor(100, 0.6)); err != nil {
+	geo := GeometryFor(100, 0.6)
+	if _, err := GreedySource(src, GreedyOptions{Threshold: 0.6, LSH: &geo}); err != nil {
 		t.Fatal(err)
 	}
 	lshTime := time.Since(start)

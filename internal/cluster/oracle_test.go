@@ -6,11 +6,46 @@ import (
 )
 
 // The brute-force references below work on plain signature slices with
-// the un-prepared estimator. The production algorithms, which read
-// signatures through a SigSource, are pinned to them.
+// the un-prepared estimator (or, for packed sources, packedKernel).
+// The production algorithms, which read signatures through a SigSource,
+// are pinned to them.
 
-// refGreedy is Algorithm 1 as written in the paper.
-func refGreedy(sigs []minhash.Signature, est minhash.Estimator, theta float64) metrics.Clustering {
+// refKernel is a reference pairwise similarity and band hash.
+type refKernel struct {
+	sim  func(a, b minhash.Signature) float64
+	band func(sig minhash.Signature, band, rows int) uint64
+}
+
+// fullKernel reads full-width signatures with est.
+func fullKernel(est minhash.Estimator) refKernel {
+	return refKernel{sim: est.Similarity, band: minhash.BandHash}
+}
+
+// packedKernel reads the b-bit sketches of a packed store, compacting
+// the signatures afresh on every call.
+func packedKernel(bits int) refKernel {
+	compact := func(sig minhash.Signature) minhash.BBitSignature {
+		p, err := minhash.Compact(sig, bits)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	return refKernel{
+		sim: func(a, b minhash.Signature) float64 {
+			s, err := compact(a).Similarity(compact(b))
+			if err != nil {
+				panic(err)
+			}
+			return s
+		},
+		band: func(sig minhash.Signature, band, rows int) uint64 { return compact(sig).BandHash(band, rows) },
+	}
+}
+
+// refGreedy is Algorithm 1 as written in the paper. An empty signature
+// is never compared: it neither sweeps later reads nor is swept.
+func refGreedy(sigs []minhash.Signature, k refKernel, theta float64) metrics.Clustering {
 	assign := make(metrics.Clustering, len(sigs))
 	for i := range assign {
 		assign[i] = -1
@@ -22,7 +57,7 @@ func refGreedy(sigs []minhash.Signature, est minhash.Estimator, theta float64) m
 		}
 		assign[i] = next
 		for j := i + 1; j < len(sigs); j++ {
-			if assign[j] < 0 && !sigs[i].Empty() && est.Similarity(sigs[i], sigs[j]) >= theta {
+			if assign[j] < 0 && !sigs[i].Empty() && !sigs[j].Empty() && k.sim(sigs[i], sigs[j]) >= theta {
 				assign[j] = next
 			}
 		}
@@ -34,8 +69,8 @@ func refGreedy(sigs []minhash.Signature, est minhash.Estimator, theta float64) m
 // refGreedyLSH is Algorithm 1 over banded candidates, deduplicated with a
 // fresh map per read: a read joins the first representative, in order of
 // first encounter across bands, that reaches theta; otherwise it becomes
-// a representative and is filed under every band hash.
-func refGreedyLSH(sigs []minhash.Signature, est minhash.Estimator, theta float64, geo LSHOptions) metrics.Clustering {
+// a representative and, unless empty, is filed under every band hash.
+func refGreedyLSH(sigs []minhash.Signature, k refKernel, theta float64, geo LSHOptions) metrics.Clustering {
 	buckets := make([]map[uint64][]int, geo.Bands) // band hash -> labels
 	for b := range buckets {
 		buckets[b] = map[uint64][]int{}
@@ -46,10 +81,10 @@ func refGreedyLSH(sigs []minhash.Signature, est minhash.Estimator, theta float64
 		assign[i] = -1
 		seen := map[int]bool{}
 		for b := 0; b < geo.Bands && assign[i] < 0 && !sig.Empty(); b++ {
-			for _, label := range buckets[b][minhash.BandHash(sig, b, geo.Rows)] {
+			for _, label := range buckets[b][k.band(sig, b, geo.Rows)] {
 				if !seen[label] && assign[i] < 0 {
 					seen[label] = true
-					if est.Similarity(sig, sigs[reps[label]]) >= theta {
+					if k.sim(sig, sigs[reps[label]]) >= theta {
 						assign[i] = label
 					}
 				}
@@ -57,8 +92,8 @@ func refGreedyLSH(sigs []minhash.Signature, est minhash.Estimator, theta float64
 		}
 		if assign[i] < 0 {
 			assign[i] = len(reps)
-			for b := range buckets {
-				h := minhash.BandHash(sig, b, geo.Rows)
+			for b := 0; b < geo.Bands && !sig.Empty(); b++ {
+				h := k.band(sig, b, geo.Rows)
 				buckets[b][h] = append(buckets[b][h], len(reps))
 			}
 			reps = append(reps, i)

@@ -29,6 +29,11 @@ type SigSource interface {
 	Similarity(i, j int) float64
 	// BandHash returns the LSH band hash of signature i.
 	BandHash(i, band, rows int) uint64
+	// Values returns signature i's sorted distinct minwise values when
+	// Similarity is their set overlap (a full-width SetOverlap source),
+	// which lets Algorithm 1 count shared values instead of comparing
+	// pairs; it returns nil for every element of any other source.
+	Values(i int) []uint64
 }
 
 // SliceSource adapts a signature slice, Prepared once, to SigSource: the
@@ -63,6 +68,12 @@ func (s *SliceSource) Similarity(i, j int) float64 {
 func (s *SliceSource) BandHash(i, band, rows int) uint64 {
 	return minhash.BandHash(s.sigs[i], band, rows)
 }
+func (s *SliceSource) Values(i int) []uint64 {
+	if s.est != minhash.SetOverlap {
+		return nil
+	}
+	return s.prep[i].Vals
+}
 
 // SubsetSource restricts a source to ids: element i of the subset is
 // element ids[i] of the parent. The per-component cluster stages use it
@@ -86,6 +97,7 @@ func (s *SubsetSource) Similarity(i, j int) float64 { return s.src.Similarity(s.
 func (s *SubsetSource) BandHash(i, band, rows int) uint64 {
 	return s.src.BandHash(s.ids[i], band, rows)
 }
+func (s *SubsetSource) Values(i int) []uint64 { return s.src.Values(s.ids[i]) }
 
 // HierarchicalFromSource is the end-to-end Algorithm 2 over any
 // signature source: parallel tiled matrix build from the source's

@@ -1,10 +1,17 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/metagenomics/mrmcminh/internal/fasta"
+	"github.com/metagenomics/mrmcminh/internal/kmer"
+	"github.com/metagenomics/mrmcminh/internal/metrics"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
+	"github.com/metagenomics/mrmcminh/internal/sigstore"
+	"github.com/metagenomics/mrmcminh/internal/simulate"
 )
 
 // sourceTestSigs builds n deterministic signatures in g groups: members
@@ -51,56 +58,104 @@ func clusteringsEqual(t *testing.T, name string, got, want []int) {
 	}
 }
 
-// TestGreedySourceEquivalence pins GreedySource over a SliceSource to be
-// identical to the brute-force refGreedy, at thresholds including 0 and 1.
-func TestGreedySourceEquivalence(t *testing.T) {
-	sigs := sourceTestSigs(150, 40, 6, 11, 1)
-	sigs[0], sigs[10] = sigs[10], sigs[0] // an empty signature comes first
-	for _, est := range []minhash.Estimator{minhash.SetOverlap, minhash.MatchedPositions} {
-		for _, theta := range []float64{0, 0.6, 1} {
-			got, err := GreedySource(NewSliceSource(sigs, est), GreedyOptions{Threshold: theta})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clusteringsEqual(t, "GreedySource", got, refGreedy(sigs, est, theta))
+// greedyCorpora sketches the Algorithm 1 oracle corpora: many-cluster
+// whole-metagenome reads (k=20, n=100, as the wgs-hier benchmark), few-
+// cluster 16S amplicons (k=15, n=50), the wgs reads with every third one
+// emptied, and the 16S reads with their first 64 submitted again.
+func greedyCorpora(t *testing.T) map[string][]minhash.Signature {
+	t.Helper()
+	sketch := func(reads []fasta.Record, k, n int) []minhash.Signature {
+		sk := minhash.MustSketcher(n, k, 1)
+		ex := &kmer.Extractor{K: k, Canonical: true}
+		sigs := make([]minhash.Signature, len(reads))
+		for i, r := range reads {
+			sigs[i] = sk.Sketch(ex.Set(r.Seq))
 		}
+		return sigs
 	}
-	if _, err := GreedySource(NewSliceSource(nil, minhash.SetOverlap), GreedyOptions{Threshold: 2}); err == nil {
-		t.Fatal("bad threshold: expected error")
+	spec, err := simulate.TableIISpec("S9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wgsReads, _, err := simulate.BuildWholeMetagenome(spec, 0.004, 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ampReads, _, err := simulate.BuildHuse16S(0.03, 0.0006, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wgs, amp := sketch(wgsReads, 20, 100), sketch(ampReads, 15, 50)
+	empties := slices.Clone(wgs)
+	for i := 1; i < len(empties); i += 3 {
+		empties[i] = minhash.MustSketcher(100, 20, 1).Sketch(nil)
+	}
+	return map[string][]minhash.Signature{
+		"wgs": wgs, "16S": amp, "empty reads": empties, "duplicate reads": append(slices.Clone(amp), amp[:64]...),
 	}
 }
 
-// TestGreedyLSHSourceEquivalence pins GreedyLSHSource — BandIndex's
-// candidate order included — identical to the map-dedup refGreedyLSH.
-func TestGreedyLSHSourceEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, sigs := range [][]minhash.Signature{sourceTestSigs(200, 40, 8, 13, seed), bandTestSigs(200, 40, seed)} {
-			for _, lsh := range []LSHOptions{{Bands: 8, Rows: 5}, {Bands: 20, Rows: 1}} {
-				got, err := GreedyLSHSource(NewSliceSource(sigs, minhash.SetOverlap), GreedyOptions{Threshold: 0.6}, lsh)
+// TestGreedyOracle pins Algorithm 1's one implementation — GreedySource,
+// the IncrementalSource fed 0..N-1 — to refGreedy on the exact search and
+// to refGreedyLSH on the banded one, over every kind of source: slices, a
+// subset of a reordered parent, and full and 4-bit store views.
+func TestGreedyOracle(t *testing.T) {
+	for name, sigs := range greedyCorpora(t) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			reversed := slices.Clone(sigs)
+			slices.Reverse(reversed)
+			ids := make([]int, len(sigs))
+			for i := range ids {
+				ids[i] = len(sigs) - 1 - i
+			}
+			view := func(bits int) SigSource {
+				st, err := sigstore.New(sigstore.Config{NumHashes: len(sigs[0]), Bits: bits})
 				if err != nil {
 					t.Fatal(err)
 				}
-				clusteringsEqual(t, "GreedyLSHSource", got, refGreedyLSH(sigs, minhash.SetOverlap, 0.6, lsh))
+				if err := st.PutBatch(0, sigs); err != nil {
+					t.Fatal(err)
+				}
+				v, err := st.View(minhash.SetOverlap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
 			}
-		}
-	}
-}
-
-func TestGreedyLSHSourceValidation(t *testing.T) {
-	src := NewSliceSource(sourceTestSigs(10, 20, 2, 0, 4), minhash.SetOverlap)
-	if _, err := GreedyLSHSource(src, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 7, Rows: 5}); err == nil {
-		t.Fatal("oversized geometry: expected error")
-	}
-	if _, err := GreedyLSHSource(src, GreedyOptions{Threshold: -1}, LSHOptions{Bands: 4, Rows: 5}); err == nil {
-		t.Fatal("bad threshold: expected error")
-	}
-	empty := NewSliceSource(nil, minhash.SetOverlap)
-	if _, err := GreedyLSHSource(empty, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 0, Rows: 5}); err == nil {
-		t.Fatal("zero bands: expected error even on empty input")
-	}
-	got, err := GreedyLSHSource(empty, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 4, Rows: 5})
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty source: got %v, %v", got, err)
+			sources := []struct {
+				name   string
+				src    SigSource
+				packed bool // read through packedKernel(4) rather than the full kernel
+			}{
+				{"slice", NewSliceSource(sigs, minhash.SetOverlap), false},
+				{"subset", Subset(NewSliceSource(reversed, minhash.SetOverlap), ids), false},
+				{"full view", view(0), false},
+				{"4-bit view", view(4), true},
+			}
+			kernels := map[bool]refKernel{false: fullKernel(minhash.SetOverlap), true: packedKernel(4)}
+			for _, theta := range []float64{0, 0.246, 0.55, 0.9, 1} {
+				geo := GeometryFor(len(sigs[0]), theta)
+				for _, banded := range []bool{false, true} {
+					opt := GreedyOptions{Threshold: theta}
+					want := map[bool]metrics.Clustering{}
+					for packed, k := range kernels {
+						want[packed] = refGreedy(sigs, k, theta)
+						if banded {
+							opt.LSH = &geo
+							want[packed] = refGreedyLSH(sigs, k, theta, geo)
+						}
+					}
+					for _, s := range sources {
+						got, err := GreedySource(s.src, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						clusteringsEqual(t, fmt.Sprintf("%s, θ=%v, banded=%v", s.name, theta, banded), got, want[s.packed])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -122,46 +177,6 @@ func TestHierarchicalFromSourceEquivalence(t *testing.T) {
 	}
 	if _, err := HierarchicalFromSource(NewSliceSource(sigs, minhash.SetOverlap), Single, 1.5); err == nil {
 		t.Fatal("bad threshold: expected error")
-	}
-}
-
-// TestIncrementalSourceEquivalence pins IncrementalSource, fed the reads
-// in order, identical to refGreedy without banding and to refGreedyLSH
-// with it.
-func TestIncrementalSourceEquivalence(t *testing.T) {
-	sigs := sourceTestSigs(120, 40, 6, 9, 3)
-	sigs = append(sigs, sigs[:5]...) // exact copies reach θ = 1
-	banded := &LSHOptions{Bands: 8, Rows: 5}
-	for _, tc := range []struct {
-		theta float64
-		geo   *LSHOptions
-	}{{0.6, nil}, {1, nil}, {0, banded}, {0.6, banded}, {1, banded}} {
-		opt, geo := GreedyOptions{Threshold: tc.theta}, tc.geo
-		want := refGreedy(sigs, minhash.SetOverlap, opt.Threshold)
-		if geo != nil {
-			want = refGreedyLSH(sigs, minhash.SetOverlap, opt.Threshold, *geo)
-		}
-		src, err := NewIncrementalSource(NewSliceSource(sigs, minhash.SetOverlap), opt, geo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sigs {
-			got, err := src.Add(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want[i] {
-				t.Fatalf("geo=%v read %d: label %d, want %d", geo, i, got, want[i])
-			}
-		}
-		if src.NumClusters() != want.NumClusters() || src.NumReads() != len(sigs) {
-			t.Fatalf("geo=%v: counts %d/%d vs %d/%d", geo,
-				src.NumClusters(), src.NumReads(), want.NumClusters(), len(sigs))
-		}
-	}
-	src, _ := NewIncrementalSource(NewSliceSource(sigs, minhash.SetOverlap), GreedyOptions{Threshold: 0.6}, nil)
-	if _, err := src.Add(len(sigs)); err == nil {
-		t.Fatal("out-of-range index: expected error")
 	}
 }
 
@@ -187,6 +202,9 @@ func TestSubsetSourceProjects(t *testing.T) {
 		if sub.BandHash(i, 1, 5) != direct.BandHash(i, 1, 5) {
 			t.Fatalf("BandHash(%d) mismatch", i)
 		}
+		if !slices.Equal(sub.Values(i), direct.Values(i)) {
+			t.Fatalf("Values(%d) mismatch", i)
+		}
 		for j := i + 1; j < len(ids); j++ {
 			if sub.Similarity(i, j) != direct.Similarity(i, j) {
 				t.Fatalf("Similarity(%d,%d) mismatch", i, j)
@@ -198,5 +216,5 @@ func TestSubsetSourceProjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusteringsEqual(t, "subset greedy", got, refGreedy(picked, minhash.SetOverlap, 0.6))
+	clusteringsEqual(t, "subset greedy", got, refGreedy(picked, fullKernel(minhash.SetOverlap), 0.6))
 }

@@ -41,7 +41,8 @@ func refMatrix(sigs []minhash.Signature) *cluster.Matrix {
 	return m
 }
 
-// refGreedy is Algorithm 1 as written in the paper.
+// refGreedy is Algorithm 1 as written in the paper. An empty signature
+// is never compared: it neither sweeps later reads nor is swept.
 func refGreedy(sigs []minhash.Signature, theta float64) metrics.Clustering {
 	assign := make(metrics.Clustering, len(sigs))
 	for i := range assign {
@@ -54,7 +55,7 @@ func refGreedy(sigs []minhash.Signature, theta float64) metrics.Clustering {
 		}
 		assign[i] = next
 		for j := i + 1; j < len(sigs); j++ {
-			if assign[j] < 0 && !sigs[i].Empty() && minhash.SetOverlap.Similarity(sigs[i], sigs[j]) >= theta {
+			if assign[j] < 0 && !sigs[i].Empty() && !sigs[j].Empty() && minhash.SetOverlap.Similarity(sigs[i], sigs[j]) >= theta {
 				assign[j] = next
 			}
 		}
@@ -66,7 +67,7 @@ func refGreedy(sigs []minhash.Signature, theta float64) metrics.Clustering {
 // refGreedyLSH is Algorithm 1 over banded candidates, deduplicated with a
 // fresh map per read: a read joins the first representative, in order of
 // first encounter across bands, that reaches theta; otherwise it becomes
-// a representative and is filed under every band hash.
+// a representative and, unless empty, is filed under every band hash.
 func refGreedyLSH(sigs []minhash.Signature, theta float64, geo cluster.LSHOptions) metrics.Clustering {
 	buckets := make([]map[uint64][]int, geo.Bands) // band hash -> labels
 	for b := range buckets {
@@ -89,7 +90,7 @@ func refGreedyLSH(sigs []minhash.Signature, theta float64, geo cluster.LSHOption
 		}
 		if assign[i] < 0 {
 			assign[i] = len(reps)
-			for b := range buckets {
+			for b := 0; b < geo.Bands && !sig.Empty(); b++ {
 				h := minhash.BandHash(sig, b, geo.Rows)
 				buckets[b][h] = append(buckets[b][h], len(reps))
 			}

@@ -667,13 +667,11 @@ func greedyJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (metri
 		},
 		Reduce: func(_ string, values []any, emit func(mapreduce.KeyValue)) error {
 			gopt := cluster.GreedyOptions{Threshold: opt.Theta}
-			var got metrics.Clustering
-			var err error
 			if opt.UseLSH {
-				got, err = cluster.GreedyLSHSource(src, gopt, cluster.GeometryFor(opt.NumHashes, opt.Theta))
-			} else {
-				got, err = cluster.GreedySource(src, gopt)
+				geo := cluster.GeometryFor(opt.NumHashes, opt.Theta)
+				gopt.LSH = &geo
 			}
+			got, err := cluster.GreedySource(src, gopt)
 			if err != nil {
 				return err
 			}

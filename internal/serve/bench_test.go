@@ -6,13 +6,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/metagenomics/mrmcminh/internal/ingest"
+	"github.com/metagenomics/mrmcminh/internal/kmer"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
@@ -233,5 +237,73 @@ func BenchmarkServingQuery(b *testing.B) {
 	}
 	if elapsed := b.Elapsed(); elapsed > 0 {
 		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/sec")
+	}
+}
+
+// BenchmarkExactCommit measures the exact-mode daemon's (no -lsh) cost
+// per committed read once the corpus already holds 1k, 4k or 16k reads,
+// straight through State.CommitBatch: WAL append and fsync, store put,
+// and the online Algorithm 1 search over every representative so far.
+// Reads are mutated copies of one random base per four reads, so the
+// representatives grow with the corpus. ns/read is per committed read.
+func BenchmarkExactCommit(b *testing.B) {
+	p := benchParams()
+	p.UseLSH = false
+	sk, err := minhash.NewSketcher(p.NumHashes, p.K, p.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := &kmer.Extractor{K: p.K, Canonical: p.Canonical}
+	rng := rand.New(rand.NewSource(7))
+	bases := map[int][]byte{}
+	read := func(n int) ingest.Sketched {
+		base, ok := bases[n/4]
+		if !ok {
+			base = make([]byte, 200)
+			for j := range base {
+				base[j] = "ACGT"[rng.Intn(4)]
+			}
+			bases[n/4] = base
+		}
+		seq := slices.Clone(base)
+		for m := 0; m < 6; m++ {
+			seq[rng.Intn(len(seq))] = "ACGT"[rng.Intn(4)]
+		}
+		return ingest.Sketched{ID: fmt.Sprintf("exact-%07d", n), Sig: sk.Sketch(ex.Set(seq))}
+	}
+	const batchSize = 64
+	for _, preload := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("preload=%d", preload), func(b *testing.B) {
+			st, err := Open(b.TempDir(), p, false, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			n := 0
+			batch := func(size int) []ingest.Sketched {
+				out := make([]ingest.Sketched, size)
+				for i := range out {
+					out[i] = read(n)
+					n++
+				}
+				return out
+			}
+			for n < preload {
+				if _, err := st.CommitBatch(batch(min(1000, preload-n))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fresh := make([][]ingest.Sketched, b.N)
+			for i := range fresh {
+				fresh[i] = batch(batchSize)
+			}
+			b.ResetTimer()
+			for _, f := range fresh {
+				if _, err := st.CommitBatch(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/read")
+		})
 	}
 }

@@ -54,6 +54,11 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
+// maxReadBytes caps one submitted read: its ID plus its sequence. A
+// submit body may hold at most MaxBatch times this many bytes, JSON
+// framing included, so the body limit follows from the batch limit.
+const maxReadBytes = 64 << 10
+
 // ServerStats extends the state counters with request-path counters.
 // Accepted counts only non-duplicate reads admitted over HTTP, so for a
 // server fed exclusively by HTTP submits, accepted == acked.
@@ -61,6 +66,7 @@ type ServerStats struct {
 	Stats
 	Accepted         int64 `json:"accepted"`
 	Shed             int64 `json:"shed"`
+	TooLarge         int64 `json:"too_large"` // submits rejected with 413
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	WriteErrors      int64 `json:"write_errors"`
 	InFlight         int64 `json:"in_flight"`
@@ -94,6 +100,7 @@ type Server struct {
 	inFlight         atomic.Int64
 	accepted         atomic.Int64
 	shed             atomic.Int64
+	tooLarge         atomic.Int64
 	deadlineExceeded atomic.Int64
 	writeErrors      atomic.Int64
 	fatal            atomic.Pointer[fatalErr]
@@ -266,6 +273,12 @@ func (s *Server) shedResponse(w http.ResponseWriter, msg string) {
 	s.writeError(w, http.StatusServiceUnavailable, msg)
 }
 
+// tooLargeResponse rejects a submit that exceeds a size limit.
+func (s *Server) tooLargeResponse(w http.ResponseWriter, msg string) {
+	s.tooLarge.Add(1)
+	s.writeError(w, http.StatusRequestEntityTooLarge, msg)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if f := s.Fatal(); f != nil {
@@ -282,7 +295,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer s.inFlight.Add(-1)
 
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	limit := int64(s.cfg.MaxBatch) * maxReadBytes
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			s.tooLargeResponse(w, fmt.Sprintf("body exceeds %d bytes", limit))
+			return
+		}
 		s.writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -291,13 +309,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Reads) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Reads), s.cfg.MaxBatch))
+		s.tooLargeResponse(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Reads), s.cfg.MaxBatch))
 		return
 	}
 	for _, rd := range req.Reads {
 		if rd.ID == "" {
 			s.writeError(w, http.StatusBadRequest, "read with empty id")
+			return
+		}
+		if len(rd.ID)+len(rd.Seq) > maxReadBytes {
+			s.tooLargeResponse(w, fmt.Sprintf("a read exceeds %d bytes", maxReadBytes))
 			return
 		}
 	}
@@ -397,6 +418,7 @@ func (s *Server) ServerStatsSnapshot() ServerStats {
 		Stats:            s.st.Stats(),
 		Accepted:         s.accepted.Load(),
 		Shed:             s.shed.Load(),
+		TooLarge:         s.tooLarge.Load(),
 		DeadlineExceeded: s.deadlineExceeded.Load(),
 		WriteErrors:      s.writeErrors.Load(),
 		InFlight:         s.inFlight.Load(),

@@ -165,6 +165,30 @@ func TestHTTPRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsOversizedSubmits checks both size limits of a submit
+// answer 413 before anything is committed, and that /v1/stats counts
+// each rejection: a body beyond MaxBatch reads of maxReadBytes, and a
+// small body holding one over-long read.
+func TestHTTPRejectsOversizedSubmits(t *testing.T) {
+	_, hts := newTestServer(t, testParams(), ServerConfig{MaxBatch: 4}, nil)
+	long := strings.Repeat("ACGT", maxReadBytes/4)
+	for name, reads := range map[string][]submitRead{
+		"oversized body": {{ID: "r0", Seq: strings.Repeat(long, 5)}},
+		"over-long read": {{ID: "r1", Seq: long}},
+	} {
+		if resp, _ := postReads(t, hts.URL, reads); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d", name, resp.StatusCode)
+		}
+	}
+	var stats struct{ Stats ServerStats }
+	if code := getJSON(t, hts.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats %d", code)
+	}
+	if stats.Stats.TooLarge != 2 || stats.Stats.Reads != 0 {
+		t.Fatalf("too_large %d, reads %d after two rejected submits", stats.Stats.TooLarge, stats.Stats.Reads)
+	}
+}
+
 // TestLoadSheddingQueueFull stalls the committer (a commit whose result
 // channel nobody drains blocks the committer's send), fills the bounded
 // queue, and checks the next submit is shed with 503 + Retry-After

@@ -89,7 +89,7 @@ type State struct {
 	params Params
 	dir    string
 	store  *sigstore.Store
-	live   *liveSource
+	live   *sigstore.View // the store's rows in dense order; only the committer touches it
 	inc    *cluster.IncrementalSource
 	wal    *WAL
 	inj    *faults.Injector
@@ -108,66 +108,6 @@ type State struct {
 	acked      atomic.Int64 // reads durably acknowledged (excludes duplicates)
 	duplicates atomic.Int64
 	recovered  int64 // reads present at Open (snapshot + WAL tail)
-}
-
-// liveSource is the growing cluster.SigSource the incremental clusterer
-// runs over: append-only borrowed rows from the store. Only the
-// committer goroutine touches it — the clusterer and the appender are
-// the same single thread, so no locking (unlike the store underneath,
-// which stays safe for concurrent snapshot readers).
-type liveSource struct {
-	est       minhash.Estimator
-	bits      int
-	numHashes int
-	sigs      []minhash.Signature
-	prep      []minhash.Prepared
-	packed    []minhash.BBitSignature
-}
-
-func (l *liveSource) Len() int {
-	if l.bits == 0 {
-		return len(l.sigs)
-	}
-	return len(l.packed)
-}
-func (l *liveSource) NumHashes() int { return l.numHashes }
-func (l *liveSource) Empty(i int) bool {
-	if l.bits == 0 {
-		return l.sigs[i].Empty()
-	}
-	return l.packed[i].Empty()
-}
-func (l *liveSource) Similarity(i, j int) float64 {
-	if l.bits == 0 {
-		return l.est.SimilarityPrepared(l.prep[i], l.prep[j])
-	}
-	return l.packed[i].SimilarityFast(l.packed[j])
-}
-func (l *liveSource) BandHash(i, band, rows int) uint64 {
-	if l.bits == 0 {
-		return minhash.BandHash(l.sigs[i], band, rows)
-	}
-	return l.packed[i].BandHash(band, rows)
-}
-
-// appendRow borrows the store row for dense and appends it as source
-// element dense (rows arrive in dense order, so indices align).
-func (l *liveSource) appendRow(st *sigstore.Store, dense uint32) error {
-	if l.bits == 0 {
-		sigs, err := st.GetInto(l.sigs, []uint32{dense})
-		if err != nil {
-			return err
-		}
-		l.sigs = sigs
-		l.prep = append(l.prep, minhash.Prepare(sigs[len(sigs)-1]))
-		return nil
-	}
-	packed, err := st.PackedInto(l.packed, []uint32{dense})
-	if err != nil {
-		return err
-	}
-	l.packed = packed
-	return nil
 }
 
 // Open builds (or recovers) service state in dir. A directory that
@@ -208,14 +148,17 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 		st.store = store
 	}
 
-	st.live = &liveSource{est: p.Estimator, bits: p.Bits, numHashes: p.NumHashes}
+	live, err := st.store.View(p.Estimator)
+	if err != nil {
+		return nil, err
+	}
+	st.live = live
 	opt := cluster.GreedyOptions{Threshold: p.Theta}
-	var geom *cluster.LSHOptions
 	if p.UseLSH {
 		g := cluster.GeometryFor(p.NumHashes, p.Theta)
-		geom = &g
+		opt.LSH = &g
 	}
-	inc, err := cluster.NewIncrementalSource(st.live, opt, geom)
+	inc, err := cluster.NewIncrementalSource(st.live, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -309,6 +252,9 @@ func (st *State) applyRead(id string, sig minhash.Signature) (int, error) {
 	if err := st.store.Put(dense, sig); err != nil {
 		return 0, err
 	}
+	if err := st.live.Append(st.store); err != nil {
+		return 0, err
+	}
 	return st.applyDenseClustered(dense, id)
 }
 
@@ -324,9 +270,6 @@ func (st *State) applyDense(dense uint32) error {
 }
 
 func (st *State) applyDenseClustered(dense uint32, id string) (int, error) {
-	if err := st.live.appendRow(st.store, dense); err != nil {
-		return 0, err
-	}
 	label, err := st.inc.Add(int(dense))
 	if err != nil {
 		return 0, err

@@ -60,7 +60,6 @@ func TestSnapshotUnderConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var rows []minhash.Signature
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -68,13 +67,12 @@ func TestSnapshotUnderConcurrentReaders(t *testing.T) {
 				default:
 				}
 				id := uint32((i + r*131) % pre)
-				rows = rows[:0]
-				rows, err := s.GetInto(rows, []uint32{id})
-				if err != nil {
-					t.Error(err)
+				row, _, ok := s.row(id)
+				if !ok {
+					t.Errorf("row %d missing", id)
 					return
 				}
-				if rows[0][0] != uint64(id)*1000003 {
+				if row[0] != uint64(id)*1000003 {
 					t.Errorf("row %d content torn", id)
 					return
 				}
@@ -97,12 +95,8 @@ func TestSnapshotUnderConcurrentReaders(t *testing.T) {
 			t.Fatalf("snapshot %d holds %d reads, want >= %d", k, restored.Len(), pre)
 		}
 		// Every pre-existing read must be present with intact content.
-		rows, err := restored.GetInto(nil, []uint32{0, pre / 2, pre - 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n, id := range []int{0, pre / 2, pre - 1} {
-			if rows[n][0] != uint64(id)*1000003 {
+		for _, id := range []uint32{0, pre / 2, pre - 1} {
+			if row, _, ok := restored.row(id); !ok || row[0] != uint64(id)*1000003 {
 				t.Fatalf("snapshot %d: read %d corrupted", k, id)
 			}
 		}

@@ -200,40 +200,6 @@ func (s *Store) Has(id uint32) bool {
 	return ok
 }
 
-// GetInto appends borrowed full signatures for ids to dst (pass dst[:0]
-// to reuse). The returned slice headers alias the shard arenas: they are
-// valid until the owning row is overwritten, and share no memory with
-// each other. Full-storage stores only.
-func (s *Store) GetInto(dst []minhash.Signature, ids []uint32) ([]minhash.Signature, error) {
-	if s.cfg.Bits != 0 {
-		return nil, fmt.Errorf("sigstore: GetInto on a %d-bit packed store (use PackedInto)", s.cfg.Bits)
-	}
-	for _, id := range ids {
-		w, _, ok := s.row(id)
-		if !ok {
-			return nil, fmt.Errorf("sigstore: id %d not stored", id)
-		}
-		dst = append(dst, minhash.Signature(w))
-	}
-	return dst, nil
-}
-
-// PackedInto appends borrowed packed signatures for ids to dst. Packed
-// stores only; the views alias the shard arenas like GetInto's.
-func (s *Store) PackedInto(dst []minhash.BBitSignature, ids []uint32) ([]minhash.BBitSignature, error) {
-	if s.cfg.Bits == 0 {
-		return nil, fmt.Errorf("sigstore: PackedInto on a full store (use GetInto)")
-	}
-	for _, id := range ids {
-		w, empty, ok := s.row(id)
-		if !ok {
-			return nil, fmt.Errorf("sigstore: id %d not stored", id)
-		}
-		dst = append(dst, minhash.Borrow(s.cfg.Bits, s.cfg.NumHashes, w, empty))
-	}
-	return dst, nil
-}
-
 // ResidentBytes returns the resident signature-arena footprint: the
 // number the memory table in the README and the sig-bytes/read benchmark
 // metric report. Translator keys and shard bookkeeping are excluded —

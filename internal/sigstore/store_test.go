@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -75,24 +76,17 @@ func TestPutGetRoundTripFull(t *testing.T) {
 	if s.Len() != len(sigs) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(sigs))
 	}
-	ids := make([]uint32, len(sigs))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	got, err := s.GetInto(nil, ids)
+	v, err := s.View(minhash.SetOverlap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sig := range sigs {
-		if !got[i].Equal(sig) {
+		if !v.Sig(i).Equal(sig) {
 			t.Fatalf("signature %d mismatch", i)
 		}
 	}
-	if _, err := s.PackedInto(nil, ids); err == nil {
-		t.Fatal("PackedInto on a full store: expected error")
-	}
-	if _, err := s.GetInto(nil, []uint32{9999}); err == nil {
-		t.Fatal("GetInto of a missing id: expected error")
+	if _, _, ok := s.row(9999); ok {
+		t.Fatal("row of a missing id found")
 	}
 }
 
@@ -105,11 +99,7 @@ func TestPutGetRoundTripPacked(t *testing.T) {
 	if err := s.PutBatch(0, sigs); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]uint32, len(sigs))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	got, err := s.PackedInto(nil, ids)
+	v, err := s.View(minhash.SetOverlap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,17 +108,18 @@ func TestPutGetRoundTripPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Empty() != sig.Empty() {
+		got := v.PackedSig(i)
+		if got.Empty() != sig.Empty() {
 			t.Fatalf("signature %d: empty flag mismatch", i)
 		}
 		for w, word := range want.Words {
-			if got[i].Words[w] != word {
-				t.Fatalf("signature %d word %d: %x != %x", i, w, got[i].Words[w], word)
+			if got.Words[w] != word {
+				t.Fatalf("signature %d word %d: %x != %x", i, w, got.Words[w], word)
 			}
 		}
 	}
-	if _, err := s.GetInto(nil, ids); err == nil {
-		t.Fatal("GetInto on a packed store: expected error")
+	if v.Sig(0) != nil {
+		t.Fatal("full signature read off a packed store")
 	}
 }
 
@@ -359,6 +350,59 @@ func TestViewPackedMatchesCompact(t *testing.T) {
 				}
 				if got := v.Similarity(i, j); got != want {
 					t.Fatalf("b=%d: Similarity(%d,%d) = %v, want %v", bits, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestViewAppendGrowsView grows a view one stored row at a time, as the
+// daemon's committer does, and checks it reads the same as a view built
+// over the finished store. Values is set only on a full SetOverlap view.
+func TestViewAppendGrowsView(t *testing.T) {
+	sigs := randSigs(t, 80, 20, 6, 9)
+	for _, tc := range []struct {
+		bits       int
+		est        minhash.Estimator
+		wantValues bool
+	}{{0, minhash.SetOverlap, true}, {0, minhash.MatchedPositions, false}, {4, minhash.SetOverlap, false}} {
+		s, err := New(Config{NumHashes: 20, Bits: tc.bits, Shards: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, err := s.View(tc.est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := grown.Append(s); err == nil {
+			t.Fatal("Append past the stored rows: expected error")
+		}
+		for i, sig := range sigs {
+			if err := s.Put(uint32(i), sig); err != nil {
+				t.Fatal(err)
+			}
+			if err := grown.Append(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built, err := s.View(tc.est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grown.Len() != built.Len() {
+			t.Fatalf("b=%d: grown view holds %d rows, built %d", tc.bits, grown.Len(), built.Len())
+		}
+		for i := range sigs {
+			var want []uint64
+			if tc.wantValues {
+				want = minhash.Prepare(sigs[i]).Vals
+			}
+			if got := grown.Values(i); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("b=%d est=%v: Values(%d) = %v, want %v", tc.bits, tc.est, i, got, want)
+			}
+			for j := 0; j < len(sigs); j += 7 {
+				if grown.Similarity(i, j) != built.Similarity(i, j) {
+					t.Fatalf("b=%d: Similarity(%d,%d) differs", tc.bits, i, j)
 				}
 			}
 		}

@@ -13,12 +13,13 @@ import (
 // kernels need) exactly once, so the O(N²) pair loops downstream index
 // plain slices with no locking and no per-pair allocation.
 //
-// A View satisfies cluster.SigSource. It assumes the store is quiescent:
-// ingest finishes before clustering begins, which is the pipeline's
-// stage order. For a full store, Similarity returns floats bit-identical
-// to the slice-backed Estimator.SimilarityPrepared path; for a packed
-// store it applies the b-bit collision-corrected estimator over the
-// packed words.
+// A View satisfies cluster.SigSource. It assumes the store is quiescent
+// (ingest finishes before clustering begins, which is the pipeline's
+// stage order) or that its owner Appends each row once it is stored, as
+// the daemon's committer does. For a full store, Similarity returns
+// floats bit-identical to the slice-backed Estimator.SimilarityPrepared
+// path; for a packed store it applies the b-bit collision-corrected
+// estimator over the packed words.
 type View struct {
 	est       minhash.Estimator
 	bits      int
@@ -33,37 +34,11 @@ type View struct {
 // View builds a projection over dense IDs 0..Len-1. It errors if any ID
 // in that range is missing (sparse ID spaces have no index alignment).
 func (s *Store) View(est minhash.Estimator) (*View, error) {
-	n := s.Len()
 	v := &View{est: est, bits: s.cfg.Bits, numHashes: s.cfg.NumHashes}
-	if s.cfg.Bits == 0 {
-		v.sigs = make([]minhash.Signature, n)
-	} else {
-		v.packed = make([]minhash.BBitSignature, n)
-	}
-	seen := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for row, id := range sh.ids {
-			if int(id) >= n {
-				sh.mu.RUnlock()
-				return nil, fmt.Errorf("sigstore: view needs dense IDs 0..%d, found %d", n-1, id)
-			}
-			w := sh.words[row*s.stride : (row+1)*s.stride : (row+1)*s.stride]
-			if s.cfg.Bits == 0 {
-				v.sigs[id] = minhash.Signature(w)
-			} else {
-				v.packed[id] = minhash.Borrow(s.cfg.Bits, s.cfg.NumHashes, w, sh.empty[row])
-			}
-			seen++
+	for v.Len() < s.Len() {
+		if err := v.Append(s); err != nil {
+			return nil, err
 		}
-		sh.mu.RUnlock()
-	}
-	if seen != n {
-		return nil, fmt.Errorf("sigstore: view saw %d rows for %d IDs", seen, n)
-	}
-	if s.cfg.Bits == 0 {
-		v.prep = minhash.PrepareAll(v.sigs)
 	}
 	return v, nil
 }
@@ -101,6 +76,35 @@ func (v *View) BandHash(i, band, rows int) uint64 {
 		return minhash.BandHash(v.sigs[i], band, rows)
 	}
 	return v.packed[i].BandHash(band, rows)
+}
+
+// Values returns signature i's sorted distinct values on a full-width
+// SetOverlap view, whose Similarity is their set overlap, and nil on
+// every other view.
+func (v *View) Values(i int) []uint64 {
+	if v.bits != 0 || v.est != minhash.SetOverlap {
+		return nil
+	}
+	return v.prep[i].Vals
+}
+
+// Append borrows the store row of dense ID Len() and appends it as the
+// view's next element: the daemon grows the source its online clusterer
+// runs over one committed read at a time. Only the goroutine that owns
+// the view may call it.
+func (v *View) Append(s *Store) error {
+	id := uint32(v.Len())
+	w, empty, ok := s.row(id)
+	if !ok {
+		return fmt.Errorf("sigstore: view needs dense ID %d, which is not stored", id)
+	}
+	if v.bits == 0 {
+		v.sigs = append(v.sigs, minhash.Signature(w))
+		v.prep = append(v.prep, minhash.Prepare(v.sigs[id]))
+	} else {
+		v.packed = append(v.packed, minhash.Borrow(v.bits, v.numHashes, w, empty))
+	}
+	return nil
 }
 
 // Sig returns the borrowed full signature for i (nil on packed views) —
